@@ -18,8 +18,7 @@ from typing import Callable, Iterable
 from .acts import Act, constant_act, compose
 from .events import Event, enumerate_partitions
 from .family import TableBackedFamily
-from .model import ZERO, class_of, conditional_measure
-from .preference import DEGENERATE, Ordering, level_values
+from .preference import DEGENERATE, Ordering
 
 AXIOM_IDS = (
     "P0.5",
@@ -102,8 +101,9 @@ class _Fam:
             }
         else:
             self.universe = family.act_items()
-            self._scores: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-            self._lex: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+            self._kernel = family.model.kernel
+            self._scores: dict[tuple[int, tuple[int, ...]], int] = {}
+            self._lex: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.constants = {
             o: constant_act(o, self.space, self.outcome_space)
             for o in self.outcome_space.outcomes
@@ -113,16 +113,13 @@ class _Fam:
 
     # -- comparisons ---------------------------------------------------
 
-    def _score(self, mask: int, f: Act) -> Fraction:
+    def _score(self, mask: int, f: Act) -> int:
+        """The kernel's score of f at the event; only compared with scores
+        at the same event."""
         key = (mask, f.assignment)
         cached = self._scores.get(key)
         if cached is None:
-            m = self.family.model
-            ev = Event(self.space, mask)
-            u = m.level(class_of(m, ev)).utility
-            w = conditional_measure(m, ev)
-            cached = sum((w[i] * u[f.assignment[i]] for i in ev.members if w[i]), ZERO)
-            self._scores[key] = cached
+            cached = self._scores[key] = self._kernel.score(mask, f.assignment)
         return cached
 
     def cmp(self, a: Event, f: Act, g: Act):
@@ -157,11 +154,10 @@ class _Fam:
             return Ordering.INDIFFERENT
         return Ordering.STRICTLY_PREFER if vf > vg else Ordering.STRICTLY_DISPREFER
 
-    def _lex_values(self, f: Act) -> tuple[Fraction, ...]:
+    def _lex_values(self, f: Act) -> tuple[int, ...]:
         cached = self._lex.get(f.assignment)
         if cached is None:
-            cached = level_values(self.family.model, f)
-            self._lex[f.assignment] = cached
+            cached = self._lex[f.assignment] = self._kernel.values(f.assignment)
         return cached
 
     def agreement(self, a: Event, b: Event) -> bool:

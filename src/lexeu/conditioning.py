@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .acts import Act, compose, enumerate_acts
-from .errors import CapExceeded, EmptyEvent, SpaceMismatch
+from .errors import CapExceeded, EmptyEvent
 from .events import Event, Partition, bell_number, enumerate_partitions, singleton_partition
-from .model import GsleuModel, ZERO, class_of, conditional_measure
+from .model import GsleuModel
 from .preference import (
     LexVerdict,
     Ordering,
     _check_act,
+    _check_event,
     indexed_prefer,
-    level_eu,
-    level_values,
-    outcome_order,
 )
 
 PARTITION_ENUM_CAP = 20_000
@@ -39,16 +36,9 @@ def savage_conditional(m: GsleuModel, a: Event, f: Act, g: Act) -> LexVerdict:
     """
     _check_act(m, f)
     _check_act(m, g)
-    if a.space != m.space:
-        raise SpaceMismatch("event over a different state space")
-    for k, lv in enumerate(m.levels, start=1):
-        diff = ZERO
-        inside = a.mask & lv.support.mask
-        for i in Event(m.space, inside).members:
-            diff += lv.prob[i] * (lv.utility[f.assignment[i]] - lv.utility[g.assignment[i]])
-        if diff != 0:
-            return LexVerdict(Ordering.from_difference(diff), k)
-    return LexVerdict(Ordering.INDIFFERENT, None)
+    _check_event(m, a)
+    diff, k = m.kernel.lex(a.mask, f.assignment, g.assignment)
+    return LexVerdict(Ordering.from_difference(diff), k)
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,7 @@ class ConditioningVerdict:
 
 
 def _lex_strict_with_delta(
-    base_hi: Sequence[Fraction], base_lo: Sequence[Fraction], delta_hi, delta_lo
+    base_hi: Sequence[int], base_lo: Sequence[int], delta_hi, delta_lo
 ) -> bool:
     """Is (base_hi + delta_hi) lexicographically above (base_lo + delta_lo)?"""
     for bh, bl, dh, dl in zip(base_hi, base_lo, delta_hi, delta_lo):
@@ -80,19 +70,6 @@ def _lex_strict_with_delta(
         if d < 0:
             return False
     return False
-
-
-def _perturbation_delta(m: GsleuModel, cell: Event, const_idx: int, x: Act):
-    """Per-level change of level values when x is overwritten by a constant
-    outcome on the given cell."""
-    deltas = []
-    for lv in m.levels:
-        d = ZERO
-        inside = cell.mask & lv.support.mask
-        for i in Event(m.space, inside).members:
-            d += lv.prob[i] * (lv.utility[const_idx] - lv.utility[x.assignment[i]])
-        deltas.append(d)
-    return tuple(deltas)
 
 
 def strong_conditional_strict(
@@ -121,23 +98,26 @@ def strong_conditional_strict(
     if savage.ordering is not Ordering.STRICTLY_PREFER:
         return ConditioningVerdict(False, False, None, None)
 
+    # Every comparison below is level by level between two composites, so
+    # the kernel's per-level scaling keeps each verdict exact.
+    kern = m.kernel
     fah = compose(f, a, h)
     gah = compose(g, a, h)
-    v_f = level_values(m, fah)
-    v_g = level_values(m, gah)
-    zero = (ZERO,) * m.depth
+    v_f = kern.values(fah.assignment)
+    v_g = kern.values(gah.assignment)
+    zero = (0,) * m.depth
+    singles = singleton_partition(a)
 
     budget = a.size if partition_budget is None else min(partition_budget, a.size)
 
     def cell_ok(cell: Event, const_idx: int) -> bool:
-        up = _perturbation_delta(m, cell, const_idx, fah)
+        up = kern.delta(cell.mask, const_idx, fah.assignment)
         if not _lex_strict_with_delta(v_f, v_g, up, zero):
             return False
-        down = _perturbation_delta(m, cell, const_idx, gah)
+        down = kern.delta(cell.mask, const_idx, gah.assignment)
         return _lex_strict_with_delta(v_f, v_g, zero, down)
 
     def find_partition(const_idx: int) -> Partition | None:
-        singles = singleton_partition(a)
         if all(cell_ok(cell, const_idx) for cell in singles):
             return singles
         if a.size > 1:
@@ -156,8 +136,7 @@ def strong_conditional_strict(
 
     witnesses: dict[str, Partition] = {}
     coarse: list[str] = []
-    singles = singleton_partition(a)
-    for o in outcome_order(m):
+    for o in kern.outcome_order:
         label = m.outcome_space.outcomes[o]
         found = find_partition(o)
         if found is None:
@@ -171,16 +150,22 @@ def strong_conditional_strict(
 def fineness_holds(m: GsleuModel, a: Event, f: Act, g: Act) -> bool:
     """Per-instance sufficiency condition: the largest conditional atom
     times the utility range at the event's class stays below the
-    conditional expected-utility gap."""
-    k = class_of(m, a)
-    if k is None:
+    conditional expected-utility gap.
+
+    Both sides carry the factor 1 / (core mass x utility scale) of the
+    class level, so the kernel compares them without it.
+    """
+    _check_act(m, f)
+    _check_act(m, g)
+    _check_event(m, a)
+    if a.is_empty:
         raise EmptyEvent("fineness condition needs a nonempty event")
-    measure = conditional_measure(m, a)
-    max_atom = max(measure[i] for i in a.members)
-    utility = m.level(k).utility
-    u_range = max(utility) - min(utility)
-    gap = level_eu(m, k, a, f) - level_eu(m, k, a, g)
-    return max_atom * u_range < abs(gap)
+    kern = m.kernel
+    k, core = kern.event(a.mask)
+    utility = kern.util[k]
+    max_atom = max(kern.prob[k][i] for i in core)
+    gap = kern.score(a.mask, f.assignment) - kern.score(a.mask, g.assignment)
+    return max_atom * (max(utility) - min(utility)) < abs(gap)
 
 
 class ObsClass(enum.Enum):

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .acts import Act, OutcomeSpace, enumerate_acts
 from .errors import IncompleteTable, SpaceMismatch, ValidationError
 from .events import Event, StateSpace
-from .model import GsleuModel, ZERO, class_of, conditional_measure
+from .model import GsleuModel
 from .preference import (
     DEGENERATE,
     Ordering,
     agreement,
     indexed_prefer,
-    level_values,
     lex_prefer,
 )
 
@@ -203,22 +202,18 @@ def derive_table(m: GsleuModel, cap: int | None = None) -> TableBackedFamily:
 
     Act names are f0, f1, ... in enumeration order.  Rankings sort by
     expected utility at each event's class (unconditionally: by the
-    per-level value sequence).
+    per-level value sequence), read off the model's integer kernel: every
+    score at one event, and every entry of one level, carries the same
+    positive factor, so the order is the exact one.
     """
     named = [(f"f{i}", act) for i, act in enumerate(enumerate_acts(m.space, m.outcome_space, cap))]
+    kern = m.kernel
     tiers: dict[int, Tiers] = {}
     for mask in _event_key_masks(m.space):
-        ev = Event(m.space, mask)
-        k = class_of(m, ev)
-        u = m.level(k).utility
-        weights = conditional_measure(m, ev)
-        core = [i for i in ev.members if weights[i]]
-        scored = [
-            (sum((weights[i] * u[act.assignment[i]] for i in core), ZERO), name)
-            for name, act in named
-        ]
-        tiers[mask] = _group_desc(scored)
-    uncond = _group_desc([(level_values(m, act), name) for name, act in named])
+        tiers[mask] = _group_desc(
+            [(kern.score(mask, act.assignment), name) for name, act in named]
+        )
+    uncond = _group_desc([(kern.values(act.assignment), name) for name, act in named])
     return TableBackedFamily(
         space=m.space,
         outcome_space=m.outcome_space,

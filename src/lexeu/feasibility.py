@@ -75,9 +75,17 @@ class ConstraintSystem:
 
     def check_caps(self) -> None:
         if len(self.variables) > MAX_VARIABLES:
-            raise CapExceeded(len(self.variables), MAX_VARIABLES)
+            raise CapExceeded(
+                f"system has {len(self.variables)} variables, cap is {MAX_VARIABLES}",
+                needed=len(self.variables),
+                cap=MAX_VARIABLES,
+            )
         if len(self.constraints) > MAX_CONSTRAINTS:
-            raise CapExceeded(len(self.constraints), MAX_CONSTRAINTS)
+            raise CapExceeded(
+                f"system has {len(self.constraints)} constraints, cap is {MAX_CONSTRAINTS}",
+                needed=len(self.constraints),
+                cap=MAX_CONSTRAINTS,
+            )
         declared = set(self.variables)
         for c in self.constraints:
             stray = set(c.coeffs) - declared
@@ -325,7 +333,12 @@ def fourier_motzkin_feasible(sys: ConstraintSystem) -> bool:
     """
     sys.check_caps()
     if len(sys.variables) > FM_MAX_VARIABLES:
-        raise CapExceeded(len(sys.variables), FM_MAX_VARIABLES)
+        raise CapExceeded(
+            f"Fourier-Motzkin elimination over {len(sys.variables)} variables, "
+            f"cap is {FM_MAX_VARIABLES}",
+            needed=len(sys.variables),
+            cap=FM_MAX_VARIABLES,
+        )
     # (coeffs, strict, rhs) encodes coeffs . x >= rhs (> when strict)
     ineqs: list[tuple[dict[str, Fraction], bool, Fraction]] = []
     eqs: list[tuple[dict[str, Fraction], Fraction]] = []

@@ -8,6 +8,7 @@ locate the offending entry without a stack trace.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -21,28 +22,47 @@ from .model import GsleuModel, Level, validate_model
 
 Tiers = tuple[tuple[str, ...], ...]
 
+# Digits allowed in a numerator or a denominator.  Checked before any
+# conversion, so a hostile number costs nothing; it also bounds the
+# integers of the compiled kernel, which grow with the denominators.
+MAX_RATIONAL_DIGITS = 1000
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+_INT_LIMIT = 10**MAX_RATIONAL_DIGITS
+
 
 def format_rational(q: Fraction) -> str:
     return str(q)
 
 
 def parse_rational(raw, where: str) -> Fraction:
+    """A JSON integer or a "p/q" / "p" string of ASCII digits, at most
+    MAX_RATIONAL_DIGITS digits a part."""
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ParseError(f"{where}: expected a rational string or integer, got {raw!r}")
+    if isinstance(raw, int):
+        too_long = abs(raw) >= _INT_LIMIT
+    else:
+        match = _RATIONAL.fullmatch(raw)
+        if match is None:
+            raise ParseError(f"{where}: not a rational: {raw[:40]!r}")
+        too_long = any(part and len(part) > MAX_RATIONAL_DIGITS for part in match.groups())
+    if too_long:
+        raise ParseError(f"{where}: more than {MAX_RATIONAL_DIGITS} digits in a rational")
     try:
         return Fraction(raw)
     except ZeroDivisionError:
         raise ParseError(f"{where}: zero denominator in {raw!r}") from None
-    except ValueError:
-        raise ParseError(f"{where}: not a rational: {raw!r}") from None
 
 
 def load_json(path) -> dict:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # undecodable bytes, or an integer too long to convert
+        raise ParseError(f"{path}: unreadable input: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object at the top level")
     return data

@@ -1,0 +1,108 @@
+"""The integer image of a model, compiled once per model instance.
+
+Every model-side verdict is a sign: of a one-level expected-utility
+difference, or of level differences taken in order.  Multiplying level k's
+probabilities by the lcm of their denominators, and its utilities by the
+lcm of theirs, multiplies every level-k term by one positive constant, so
+no sign and no order among level-k terms moves.  At a single event the
+normalizing mass is positive and shared by both sides of a comparison, so
+it drops out as well.  Scores built here are therefore integers that are
+exact stand-ins for the Fraction expressions they replace, as long as only
+terms of one level are compared with each other.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer multiples of values by the lcm of their denominators."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
+class Kernel:
+    """Per level: integer probabilities (full length, zero off the support)
+    and integer utilities; per event mask, lazily, the class and the states
+    of the event that carry weight at it (its core)."""
+
+    def __init__(self, levels) -> None:
+        self.support = tuple(lv.support.mask for lv in levels)
+        self.prob: list[tuple[int, ...]] = []
+        self.util: list[tuple[int, ...]] = []
+        self.scale: list[int] = []  # level value = integer value / scale
+        self.util_scale: list[int] = []
+        for lv in levels:
+            prob, p_scale = _scaled(lv.prob)
+            util, u_scale = _scaled(lv.utility)
+            self.prob.append(prob)
+            self.util.append(util)
+            self.scale.append(p_scale * u_scale)
+            self.util_scale.append(u_scale)
+        self.depth = len(levels)
+        self.size = len(levels[0].prob) if levels else 0
+        self.level_of = [None] * self.size  # the level whose support holds each state
+        for k, s in enumerate(self.support):
+            for i in range(self.size):
+                if s >> i & 1:
+                    self.level_of[i] = k
+        u = self.util[0] if levels else ()
+        # outcomes best-first under level 1, declaration order breaking ties
+        self.outcome_order = tuple(sorted(range(len(u)), key=lambda o: (-u[o], o)))
+        self._members: dict[int, tuple[int, ...]] = {}
+        self._events: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def members(self, mask: int) -> tuple[int, ...]:
+        got = self._members.get(mask)
+        if got is None:
+            got = self._members[mask] = tuple(i for i in range(self.size) if mask >> i & 1)
+        return got
+
+    def event(self, mask: int) -> tuple[int, tuple[int, ...]]:
+        """(0-based class, core states) of a nonempty event."""
+        got = self._events.get(mask)
+        if got is None:
+            k = next((k for k, s in enumerate(self.support) if mask & s), None)
+            if k is None:
+                raise AssertionError("valid models cover the state space")
+            got = self._events[mask] = (k, self.members(mask & self.support[k]))
+        return got
+
+    def score(self, mask: int, x: Sequence[int]) -> int:
+        """Expected utility of assignment x at a nonempty event, scaled by
+        a positive constant that depends only on the event."""
+        k, core = self.event(mask)
+        p, u = self.prob[k], self.util[k]
+        return sum(p[i] * u[x[i]] for i in core)
+
+    def values(self, x: Sequence[int]) -> tuple[int, ...]:
+        """Per-level values of x along the top-event chain, level k scaled
+        by scale[k]."""
+        return tuple(
+            sum(p[i] * u[x[i]] for i in self.members(s))
+            for s, p, u in zip(self.support, self.prob, self.util)
+        )
+
+    def lex(self, mask: int, x: Sequence[int], y: Sequence[int]) -> tuple[int, int | None]:
+        """(difference, 1-based level) at the first level whose values of x
+        and y differ on the event; (0, None) when none does."""
+        for k, (s, p, u) in enumerate(zip(self.support, self.prob, self.util), start=1):
+            d = 0
+            for i in self.members(mask & s):
+                d += p[i] * (u[x[i]] - u[y[i]])
+            if d:
+                return d, k
+        return 0, None
+
+    def delta(self, mask: int, const: int, x: Sequence[int]) -> list[int]:
+        """Per-level change of values(x) when x is overwritten by the
+        constant outcome on the event."""
+        out = [0] * self.depth
+        for i in self.members(mask):
+            k = self.level_of[i]
+            u = self.util[k]
+            out[k] += self.prob[k][i] * (u[const] - u[x[i]])
+        return out

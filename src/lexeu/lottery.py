@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .acts import Act, OutcomeSpace
@@ -87,8 +88,14 @@ def induced_lottery(m: GsleuModel, a: Event, f: Act) -> Lottery:
 
 
 def _lottery_eu(m: GsleuModel, k: int, lot: Lottery) -> Fraction:
-    utility = m.level(k).utility
-    return sum((w * utility[i] for i, w in lot.weights), ZERO)
+    """Expected utility at level k, times the kernel's utility scale for
+    that level: a positive factor shared by every lottery at level k, so
+    signs and ratios of differences are exact."""
+    utility = m.kernel.util[k - 1]
+    den = lcm(*(w.denominator for _, w in lot.weights))
+    return Fraction(
+        sum(w.numerator * (den // w.denominator) * utility[i] for i, w in lot.weights), den
+    )
 
 
 def lottery_compare(m: GsleuModel, a: Event, l1: Lottery, l2: Lottery) -> Ordering:

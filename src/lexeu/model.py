@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping
 
 from .errors import EmptyEvent, SpaceMismatch
 from .events import Event, StateSpace
 from .acts import OutcomeSpace
+from .kernel import Kernel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,15 +59,16 @@ class GsleuModel:
     outcome_space: OutcomeSpace
     levels: tuple[Level, ...]
 
-    # The model is the key of the conditional-measure cache, so it is hashed
-    # on every lookup.  The generated hash would walk every Fraction of every
-    # level each time; this computes the same value once per instance.
-    def __hash__(self) -> int:
-        return self._hash
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The integer image every model-side verdict is computed from,
+        compiled on first use."""
+        return Kernel(self.levels)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.space, self.outcome_space, self.levels))
+    def _measures(self) -> dict[int, tuple[Fraction, ...]]:
+        """Conditional measures already computed, by event mask."""
+        return {}
 
     @property
     def depth(self) -> int:
@@ -157,16 +159,6 @@ def class_of(m: GsleuModel, a: Event) -> int | None:
     raise AssertionError("valid models cover the state space")
 
 
-_CACHE_ENABLED = True
-
-
-def set_cache_enabled(flag: bool) -> None:
-    """Toggle memoization of conditional measures (results are identical)."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(flag)
-    _conditional_cached.cache_clear()
-
-
 def _conditional(m: GsleuModel, mask: int) -> tuple[Fraction, ...]:
     a = Event(m.space, mask)
     k = class_of(m, a)
@@ -178,24 +170,22 @@ def _conditional(m: GsleuModel, mask: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=65536)
-def _conditional_cached(m: GsleuModel, mask: int) -> tuple[Fraction, ...]:
-    return _conditional(m, mask)
-
-
 def conditional_measure(m: GsleuModel, a: Event) -> tuple[Fraction, ...]:
     """Probability of each state given the event, at the event's class.
 
     Mass is the class level's probability renormalized on the event's
     intersection with that support; states outside get exactly zero.
+    Computed in Fractions from the levels, and kept on the model by mask.
     """
     if a.space != m.space:
         raise SpaceMismatch("event over a different state space")
     if a.is_empty:
         raise EmptyEvent("conditional measure of the empty event")
-    if _CACHE_ENABLED:
-        return _conditional_cached(m, a.mask)
-    return _conditional(m, a.mask)
+    table = m._measures
+    got = table.get(a.mask)
+    if got is None:
+        got = table[a.mask] = _conditional(m, a.mask)
+    return got
 
 
 def top_event_chain(m: GsleuModel) -> tuple[Event, ...]:

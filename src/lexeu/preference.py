@@ -36,9 +36,10 @@ class Ordering(enum.Enum):
         return self
 
     @staticmethod
-    def from_difference(d: Fraction) -> "Ordering":
-        # A Fraction's denominator is positive, so its numerator carries the
-        # sign; reading it skips two mixed-type rich comparisons.
+    def from_difference(d: int | Fraction) -> "Ordering":
+        # An int is its own numerator, and a Fraction's denominator is
+        # positive, so the numerator carries the sign either way; reading it
+        # skips two mixed-type rich comparisons.
         n = d.numerator
         if n > 0:
             return Ordering.STRICTLY_PREFER
@@ -85,6 +86,11 @@ def _check_act(m: GsleuModel, f: Act) -> None:
         raise SpaceMismatch("act over different spaces than the model")
 
 
+def _check_event(m: GsleuModel, a: Event) -> None:
+    if a.space is not m.space and a.space != m.space:
+        raise SpaceMismatch("event over a different state space")
+
+
 def level_eu(m: GsleuModel, k: int, a: Event, f: Act) -> Fraction:
     """Expected utility of f at level k under the conditional measure of a.
 
@@ -95,12 +101,10 @@ def level_eu(m: GsleuModel, k: int, a: Event, f: Act) -> Fraction:
         raise EmptyEvent("level expected utility needs a nonempty event")
     if class_of(m, a) != k:
         raise ClassMismatch(f"event {a!r} has class {class_of(m, a)}, not {k}")
-    lv = m.level(k)
-    measure = conditional_measure(m, a)
-    return sum(
-        (measure[i] * lv.utility[f.assignment[i]] for i in a.members),
-        ZERO,
-    )
+    kern = m.kernel
+    _, core = kern.event(a.mask)
+    mass = sum(kern.prob[k - 1][i] for i in core)
+    return Fraction(kern.score(a.mask, f.assignment), mass * kern.util_scale[k - 1])
 
 
 def level_values(m: GsleuModel, f: Act) -> tuple[Fraction, ...]:
@@ -110,13 +114,8 @@ def level_values(m: GsleuModel, f: Act) -> tuple[Fraction, ...]:
     probability, so this is a plain dot product per level.
     """
     _check_act(m, f)
-    out = []
-    for lv in m.levels:
-        total = ZERO
-        for i in lv.support.members:
-            total += lv.prob[i] * lv.utility[f.assignment[i]]
-        out.append(total)
-    return tuple(out)
+    kern = m.kernel
+    return tuple(Fraction(v, s) for v, s in zip(kern.values(f.assignment), kern.scale))
 
 
 def indexed_prefer(m: GsleuModel, a: Event, f: Act, g: Act):
@@ -126,41 +125,30 @@ def indexed_prefer(m: GsleuModel, a: Event, f: Act, g: Act):
     """
     _check_act(m, f)
     _check_act(m, g)
-    if a.space != m.space:
-        raise SpaceMismatch("event over a different state space")
+    _check_event(m, a)
     if a.is_empty:
         return DEGENERATE
-    k = class_of(m, a)
-    lv = m.level(k)
-    measure = conditional_measure(m, a)
-    diff = ZERO
-    for i in a.members:
-        if measure[i]:
-            diff += measure[i] * (lv.utility[f.assignment[i]] - lv.utility[g.assignment[i]])
-    return Ordering.from_difference(diff)
+    kern = m.kernel
+    return Ordering.from_difference(
+        kern.score(a.mask, f.assignment) - kern.score(a.mask, g.assignment)
+    )
 
 
 def lex_prefer(m: GsleuModel, f: Act, g: Act) -> LexVerdict:
     """Lexicographic comparison: first level whose values differ decides.
 
     Same verdict as comparing level_values(m, f) with level_values(m, g)
-    entry by entry, but each level takes one exact difference over the
-    states where the acts disagree, and later levels are skipped once one
-    decides.
+    entry by entry; later levels are skipped once one decides.
     """
     _check_act(m, f)
     _check_act(m, g)
     fa, ga = f.assignment, g.assignment
-    differ = [i for i in range(m.space.size) if fa[i] != ga[i]]
-    for k, lv in enumerate(m.levels, start=1):
-        u = lv.utility
-        diff = ZERO
-        for i in differ:
-            if lv.support.mask >> i & 1:
-                diff += lv.prob[i] * (u[fa[i]] - u[ga[i]])
-        if diff:
-            return LexVerdict(Ordering.from_difference(diff), k)
-    return LexVerdict(Ordering.INDIFFERENT, None)
+    differ = 0
+    for i, (x, y) in enumerate(zip(fa, ga)):
+        if x != y:
+            differ |= 1 << i
+    diff, k = m.kernel.lex(differ, fa, ga)
+    return LexVerdict(Ordering.from_difference(diff), k)
 
 
 def lex_prefer_bruteforce(m: GsleuModel, f: Act, g: Act) -> LexVerdict:
@@ -168,12 +156,26 @@ def lex_prefer_bruteforce(m: GsleuModel, f: Act, g: Act) -> LexVerdict:
 
     f is weakly preferred to g when every chain event at which g wins
     strictly is preceded (inclusively) by one at which f wins strictly.
-    Kept deliberately naive as an oracle for lex_prefer.
+    Kept deliberately naive as an oracle for lex_prefer: each chain
+    event's verdict is a Fraction sum over its conditional measure, with no
+    use of the compiled kernel.
     """
-    chain = top_event_chain(m)
+    _check_act(m, f)
+    _check_act(m, g)
+    fa, ga = f.assignment, g.assignment
     strict_at = []
-    for ev in chain:
-        strict_at.append(indexed_prefer(m, ev, f, g))
+    for ev in top_event_chain(m):
+        u = m.level(class_of(m, ev)).utility
+        measure = conditional_measure(m, ev)
+        diff = sum(
+            (
+                measure[i] * (u[fa[i]] - u[ga[i]])
+                for i in ev.members
+                if measure[i] and fa[i] != ga[i]
+            ),
+            ZERO,
+        )
+        strict_at.append(Ordering.from_difference(diff))
 
     def weakly_preferred(signs: Iterable[Ordering], win: Ordering, lose: Ordering) -> bool:
         signs = list(signs)
@@ -208,8 +210,10 @@ def is_null_at(m: GsleuModel, b: Event, a: Event) -> bool:
         raise NotSubset("nullity is defined for subevents only")
     if b.is_empty:
         return True
-    k = class_of(m, a)
-    return b.mask & m.level(k).support.mask == 0
+    _check_event(m, a)
+    kern = m.kernel
+    k, _ = kern.event(a.mask)
+    return b.mask & kern.support[k] == 0
 
 
 def agreement(m: GsleuModel, a: Event, b: Event) -> bool:
@@ -217,16 +221,17 @@ def agreement(m: GsleuModel, a: Event, b: Event) -> bool:
 
     For nonempty events this reduces to equal classes and equal conditional
     measures: utilities are non-constant, so distinct conditionals always
-    rank some pair of acts differently.  The empty event's degenerate
-    preference agrees only with itself.
+    rank some pair of acts differently.  Within one class the measure is
+    the level's probability renormalized on the core (the states of the
+    event inside the support), and it is positive exactly there, so equal
+    measures means equal cores.  The empty event's degenerate preference
+    agrees only with itself.
     """
-    if a.space != m.space or b.space != m.space:
-        raise SpaceMismatch("event over a different state space")
+    _check_event(m, a)
+    _check_event(m, b)
     if a.is_empty or b.is_empty:
         return a.is_empty and b.is_empty
-    if class_of(m, a) != class_of(m, b):
-        return False
-    return conditional_measure(m, a) == conditional_measure(m, b)
+    return m.kernel.event(a.mask) == m.kernel.event(b.mask)
 
 
 def qual_prob_compare(m: GsleuModel, a: Event, b: Event, c: Event) -> Ordering:
@@ -235,10 +240,13 @@ def qual_prob_compare(m: GsleuModel, a: Event, b: Event, c: Event) -> Ordering:
         raise EmptyEvent("qualitative comparison needs a nonempty index event")
     if not b.is_subset(a) or not c.is_subset(a):
         raise NotSubset("compared events must be subevents of the index event")
-    measure = conditional_measure(m, a)
-    mass_b = sum((measure[i] for i in b.members), ZERO)
-    mass_c = sum((measure[i] for i in c.members), ZERO)
-    return Ordering.from_difference(mass_b - mass_c)
+    _check_event(m, a)
+    kern = m.kernel
+    k, _ = kern.event(a.mask)
+    p = kern.prob[k]
+    return Ordering.from_difference(
+        sum(p[i] for i in kern.members(b.mask)) - sum(p[i] for i in kern.members(c.mask))
+    )
 
 
 class Dominance(enum.Enum):
@@ -370,5 +378,4 @@ def risk_profile(m: GsleuModel) -> RiskProfile:
 def outcome_order(m: GsleuModel) -> tuple[int, ...]:
     """Outcome indices best-first under the shared constant-act ranking
     (level 1 utility; declaration order breaks ties)."""
-    u = m.levels[0].utility
-    return tuple(sorted(range(m.outcome_space.size), key=lambda o: (-u[o], o)))
+    return m.kernel.outcome_order

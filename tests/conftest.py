@@ -104,6 +104,29 @@ def vertex_oracle_2d(system) -> bool:
     return all(c.satisfied_by(centroid) for c in system.constraints)
 
 
+def coprime_affine_model() -> GsleuModel:
+    """Five states, three outcomes, two levels, built so that integer
+    scaling has work to do: level 1's probabilities have co-prime
+    denominators (7, 11, 13 and their product), and both utility tables
+    are positive affine images of a:0 b:1 c:3 with negative fractional
+    values."""
+    space = StateSpace(("s1", "s2", "s3", "s4", "s5"))
+    ospace = OutcomeSpace(("a", "b", "c"))
+    base = {"a": F(0), "b": F(1), "c": F(3)}
+    maps = ((F(2, 7), F(-9, 5)), (F(5, 3), F(-11, 2)))
+    probs = (
+        {"s1": F(1, 7), "s2": F(1, 11), "s3": F(1, 13), "s4": F(690, 1001)},
+        {"s5": F(1)},
+    )
+    levels = tuple(
+        Level.from_mappings(
+            space, ospace, tuple(prob), prob, {o: a * u + b for o, u in base.items()}
+        )
+        for prob, (a, b) in zip(probs, maps)
+    )
+    return GsleuModel(space, ospace, levels)
+
+
 def random_model(
     rng: random.Random,
     n_min: int = 2,

@@ -219,6 +219,11 @@ def test_criterion_5_strong_conditioning_observability():
     _assert_implications(census)
     assert census.anomaly_count == 0
     assert census.total_instances == 97_200
+    # the class split, as the Fraction implementation counted it
+    assert census.equivalent_count == 67_482
+    assert census.fineness_failure_count == 29_718
+    assert census.strong_count == census.strong_and_indexed_count == 4_383
+    assert census.condition_instances == census.condition_equivalent == 1_620
 
     # (b) the wedge: savage-strict yet not strong, with the constant recorded
     wedge = strong_conditional_strict(M0, M0.space.event(("s1", "s3")), f_wedge, g_wedge)

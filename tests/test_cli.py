@@ -65,6 +65,53 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+def _model_with_prob(files, tmp_path, value):
+    raw = json.loads(open(files["model"]).read())
+    raw["levels"][1]["prob"]["s3"] = value
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize(
+    "value", ["1.5", "1_000", "\u0661", "0x1", pytest.param("9" * 1001, id="long")]
+)
+def test_non_canonical_rational_exit_2(files, capsys, tmp_path, value):
+    code, _, err = run(capsys, "validate", str(_model_with_prob(files, tmp_path, value)))
+    assert code == 2
+    assert "prob['s3']" in err
+
+
+def test_exponent_rational_exit_2_without_hanging(files, tmp_path):
+    # Fraction("1e999999999") would build a billion-digit integer; run it in
+    # a child so that a regression fails on the timeout instead of hanging
+    path = _model_with_prob(files, tmp_path, "1e999999999")
+    result = subprocess.run(
+        [sys.executable, "-m", "lexeu.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "not a rational" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'{"states": [1' + b"0" * 5000 + b"]}", id="5000-digit-integer"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"states": ["\xff"]}', id="invalid-utf8"),
+    ],
+)
+def test_unreadable_json_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_compare_human(files, capsys):
     code, out, _ = run(capsys, "compare", files["model"], files["f"], files["g"])
     assert code == 0

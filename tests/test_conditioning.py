@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from conftest import act_of, build_m0, ev, random_model
+from conftest import act_of, build_m0, coprime_affine_model, ev, random_model
 from lexeu.acts import compose, enumerate_acts
 from lexeu.conditioning import (
     ConditioningVerdict,
@@ -15,7 +16,14 @@ from lexeu.conditioning import (
     strong_conditional_strict,
 )
 from lexeu.events import Event, singleton_partition
-from lexeu.preference import LexVerdict, Ordering, indexed_prefer, lex_prefer
+from lexeu.model import class_of, conditional_measure
+from lexeu.preference import (
+    LexVerdict,
+    Ordering,
+    indexed_prefer,
+    lex_prefer,
+    lex_prefer_bruteforce,
+)
 
 M0 = build_m0()
 f = act_of(M0, "b", "a", "c", "a")
@@ -36,17 +44,30 @@ def test_savage_frozen_values():
     )
 
 
+def _differential_models():
+    """M0, a model whose integer image needs co-prime probability
+    denominators and negative fractional utilities, and seeded random
+    models."""
+    rng = random.Random(3737)
+    return [M0, coprime_affine_model()] + [random_model(rng) for _ in range(6)]
+
+
 def test_savage_equals_composite_comparison_for_every_h():
+    # savage_conditional and lex_prefer both run on the compiled kernel;
+    # lex_prefer_bruteforce sums Fractions over conditional measures, so it
+    # checks the kernel against arithmetic it does not share
     rng = random.Random(37)
-    acts = list(enumerate_acts(M0.space, M0.outcome_space))
-    for _ in range(40):
-        a = Event(M0.space, rng.randrange(0, 16))
-        x, y = rng.choice(acts), rng.choice(acts)
-        expected = savage_conditional(M0, a, x, y)
-        for _ in range(6):
-            h = rng.choice(acts)
-            got = lex_prefer(M0, compose(x, a, h), compose(y, a, h))
-            assert got.ordering == expected.ordering
+    for m in _differential_models():
+        acts = list(enumerate_acts(m.space, m.outcome_space))
+        for _ in range(40):
+            a = Event(m.space, rng.randrange(0, 1 << m.space.size))
+            x, y = rng.choice(acts), rng.choice(acts)
+            expected = savage_conditional(m, a, x, y)
+            for _ in range(6):
+                h = rng.choice(acts)
+                fx, gy = compose(x, a, h), compose(y, a, h)
+                assert lex_prefer(m, fx, gy) == expected
+                assert lex_prefer_bruteforce(m, fx, gy) == expected
 
 
 def test_wedge_instance_frozen():
@@ -108,6 +129,18 @@ def test_h_invariance_exhaustive_on_samples():
             assert strong_conditional_strict(M0, a, x, y, h=h) == base
 
 
+def _fineness_by_fractions(m, a, f, g) -> bool:
+    """The fineness condition written out over the Fraction conditional
+    measure and the class level's utilities."""
+    measure = conditional_measure(m, a)
+    utility = m.level(class_of(m, a)).utility
+    gap = sum(
+        (measure[i] * (utility[f.assignment[i]] - utility[g.assignment[i]]) for i in a.members),
+        F(0),
+    )
+    return max(measure) * (max(utility) - min(utility)) < abs(gap)
+
+
 def test_fineness_condition_values():
     # wedge instance: indexed tie means zero gap, condition cannot hold
     assert fineness_holds(M0, ev(M0, "s1", "s3"), f_wedge, g_wedge) is False
@@ -116,6 +149,17 @@ def test_fineness_condition_values():
         fineness_holds(M0, ev(M0, "s3"), act_of(M0, "a", "a", "c", "a"), act_of(M0, "a", "a", "a", "a"))
         is False
     )
+    rng = random.Random(53)
+    outcomes = {True: 0, False: 0}
+    for m in _differential_models():
+        acts = list(enumerate_acts(m.space, m.outcome_space))
+        for _ in range(150):
+            a = Event(m.space, rng.randrange(1, 1 << m.space.size))
+            x, y = rng.choice(acts), rng.choice(acts)
+            expected = _fineness_by_fractions(m, a, x, y)
+            assert fineness_holds(m, a, x, y) is expected
+            outcomes[expected] += 1
+    assert min(outcomes.values()) > 20  # both verdicts are exercised
 
 
 def test_observability_m0_small_sample():

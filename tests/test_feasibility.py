@@ -90,8 +90,15 @@ def test_determinism():
 
 
 def test_caps_and_malformed():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         solve(ConstraintSystem(tuple(f"x{i}" for i in range(33))))
+    assert (info.value.needed, info.value.cap) == (33, 32)
+    assert str(info.value) == "system has 33 variables, cap is 32"
+    crowded = system(["x"], *[({"x": 1}, Rel.GE, -i) for i in range(5001)])
+    with pytest.raises(CapExceeded) as info:
+        solve(crowded)
+    assert (info.value.needed, info.value.cap) == (5001, 5000)
+    assert str(info.value) == "system has 5001 constraints, cap is 5000"
     with pytest.raises(MalformedSystem):
         solve(system(["x"], ({"y": 1}, Rel.GE, 0)))
     with pytest.raises(MalformedSystem):
@@ -140,8 +147,10 @@ def test_fm_strictness_propagates():
 
 
 def test_fm_caps():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         fourier_motzkin_feasible(ConstraintSystem(tuple(f"x{i}" for i in range(9))))
+    assert (info.value.needed, info.value.cap) == (9, 8)
+    assert str(info.value) == "Fourier-Motzkin elimination over 9 variables, cap is 8"
 
 
 def _random_system(rng: random.Random) -> ConstraintSystem:

@@ -53,6 +53,15 @@ def test_integer_probabilities_accepted():
     [
         ("1/0", "zero denominator"),
         ("one half", "not a rational"),
+        ("1e5", "not a rational"),
+        ("1.5", "not a rational"),
+        ("1_000", "not a rational"),
+        ("\u0661/\u0662", "not a rational"),  # Arabic-Indic digits
+        ("+1", "not a rational"),
+        (" 1/2", "not a rational"),
+        pytest.param("9" * 1001, "more than 1000 digits", id="long-numerator"),
+        pytest.param("1/" + "9" * 1001, "more than 1000 digits", id="long-denominator"),
+        pytest.param(10**1000, "more than 1000 digits", id="long-integer"),
         (True, "expected a rational"),
         (0.5, "expected a rational"),
         (None, "expected a rational"),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,6 @@ from lexeu.model import (
     Level,
     class_of,
     conditional_measure,
-    set_cache_enabled,
     top_event_chain,
     validate_model,
 )
@@ -140,15 +141,16 @@ def test_top_event_chain_m0():
         assert sum(measure[i] for i in support.members) == 1
 
 
-def test_cache_transparency():
-    a = ev(M0, "s1", "s3")
-    set_cache_enabled(False)
-    try:
-        uncached = conditional_measure(M0, a)
-    finally:
-        set_cache_enabled(True)
-    cached = conditional_measure(M0, a)
-    assert uncached == cached
+def test_conditional_measure_keeps_no_model_alive():
+    m = build_m0()
+    a = ev(m, "s1", "s3")
+    measure = conditional_measure(m, a)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+    # equal but distinct models give equal measures
+    assert conditional_measure(build_m0(), a) == measure == conditional_measure(M0, a)
 
 
 def test_model_hash_is_stable_and_structural():
