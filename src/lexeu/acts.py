@@ -82,11 +82,13 @@ def compose(f: Act, a: Event, g: Act) -> Act:
     _check_compatible(f, g)
     if a.space != f.space:
         raise SpaceMismatch("event over a different state space")
-    assignment = tuple(
-        fo if a.mask >> i & 1 else go
-        for i, (fo, go) in enumerate(zip(f.assignment, g.assignment))
-    )
-    return Act(f.space, f.outcome_space, assignment)
+    return Act(f.space, f.outcome_space, splice(f.assignment, a.mask, g.assignment))
+
+
+def splice(x: tuple[int, ...], mask: int, y: tuple[int, ...]) -> tuple[int, ...]:
+    """The assignment equal to x on the mask's states and to y elsewhere;
+    compose() without the checks and the Act."""
+    return tuple(xo if mask >> i & 1 else yo for i, (xo, yo) in enumerate(zip(x, y)))
 
 
 def constant_act(outcome: str, space: StateSpace, outcome_space: OutcomeSpace) -> Act:

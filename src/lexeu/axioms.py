@@ -12,28 +12,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable
 
-from .acts import Act, constant_act, compose
+from .acts import Act, constant_act, splice
 from .events import Event, enumerate_partitions
-from .family import TableBackedFamily
-from .preference import DEGENERATE, Ordering
-
-AXIOM_IDS = (
-    "P0.5",
-    "P1.5",
-    "P2.5",
-    "P3.5",
-    "P4.5",
-    "P5.5",
-    "P6.5",
-    "SE",
-    "QP",
-    "NULLITY",
-    "DOMINANCE",
-)
-CORE_IDS = AXIOM_IDS[:8]
+from .model import sign
+from .preference import DEGENERATE, Ordering, weakly_preferred
 
 DEFAULT_BUDGET = 300_000
 MAX_WITNESSES = 5
@@ -84,95 +68,80 @@ class SuiteReport:
 
 
 class _Fam:
-    """Uniform cached view over either family kind."""
+    """Cached view over either family kind, through the family's rank
+    oracle: scores and unconditional keys by act assignment, agreement
+    signatures by event mask.  Comparisons take masks and assignments, so
+    composites never need to become Acts."""
 
     def __init__(self, family):
         self.family = family
         self.space = family.space
         self.outcome_space = family.outcome_space
-        self.is_table = isinstance(family, TableBackedFamily)
-        if self.is_table:
-            self.universe = family.act_items()
-            self._rank = family._rank
-            self._uncond = family._uncond_rank
-            self._names = family._name_by_assignment
-            self._partitions = {
-                ev.mask: family.partition_at(ev) for ev in self.space.all_events()
-            }
-        else:
-            self.universe = family.act_items()
-            self._kernel = family.model.kernel
-            self._scores: dict[tuple[int, tuple[int, ...]], int] = {}
-            self._lex: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.full = self.space.full.mask
+        self.universe = family.act_items()
         self.constants = {
             o: constant_act(o, self.space, self.outcome_space)
             for o in self.outcome_space.outcomes
         }
         self.skipped = 0
+        self._scores: dict[tuple[int, tuple[int, ...]], int | None] = {}
+        self._keys: dict[tuple[int, ...], object] = {}
         self._null: dict[tuple[int, int], bool] = {}
 
     # -- comparisons ---------------------------------------------------
 
-    def _score(self, mask: int, f: Act) -> int:
-        """The kernel's score of f at the event; only compared with scores
-        at the same event."""
-        key = (mask, f.assignment)
-        cached = self._scores.get(key)
-        if cached is None:
-            cached = self._scores[key] = self._kernel.score(mask, f.assignment)
-        return cached
+    def score(self, mask: int, x: tuple[int, ...]) -> int | None:
+        """The oracle's score of x at a nonempty event; only compared with
+        scores at the same event.  None when a partial table lacks x."""
+        key = (mask, x)
+        got = self._scores.get(key, _UNSEEN)
+        if got is _UNSEEN:
+            got = self._scores[key] = self.family.score(mask, x)
+        return got
 
-    def cmp(self, a: Event, f: Act, g: Act):
-        """Ordering of f against g at a; DEGENERATE for the empty event.
+    def cmp(self, mask: int, x: tuple[int, ...], y: tuple[int, ...]):
+        """Ordering of x against y at the event; DEGENERATE for the empty
+        event.
 
         Returns None when the family's table does not list a composite,
         after counting the skip.
         """
-        if a.is_empty:
+        if not mask:
             return DEGENERATE
-        if self.is_table:
-            rank = self._rank[a.mask]
-            fn = self._names.get(f.assignment)
-            gn = self._names.get(g.assignment)
-            if fn is None or gn is None:
-                self.skipped += 1
-                return None
-            return Ordering.from_difference(Fraction(rank[gn] - rank[fn]))
-        diff = self._score(a.mask, f) - self._score(a.mask, g)
-        return Ordering.from_difference(diff)
+        sx, sy = self.score(mask, x), self.score(mask, y)
+        if sx is None or sy is None:
+            self.skipped += 1
+            return None
+        return _order(sx, sy)
 
-    def uncond(self, f: Act, g: Act):
-        if self.is_table:
-            fn = self._names.get(f.assignment)
-            gn = self._names.get(g.assignment)
-            if fn is None or gn is None:
-                self.skipped += 1
-                return None
-            return Ordering.from_difference(Fraction(self._uncond[gn] - self._uncond[fn]))
-        vf, vg = self._lex_values(f), self._lex_values(g)
-        if vf == vg:
-            return Ordering.INDIFFERENT
-        return Ordering.STRICTLY_PREFER if vf > vg else Ordering.STRICTLY_DISPREFER
+    def uncond(self, x: tuple[int, ...], y: tuple[int, ...]):
+        kx, ky = self._key(x), self._key(y)
+        if kx is None or ky is None:
+            self.skipped += 1
+            return None
+        return _order(kx, ky)
 
-    def _lex_values(self, f: Act) -> tuple[int, ...]:
-        cached = self._lex.get(f.assignment)
-        if cached is None:
-            cached = self._lex[f.assignment] = self._kernel.values(f.assignment)
-        return cached
+    def _key(self, x: tuple[int, ...]):
+        got = self._keys.get(x, _UNSEEN)
+        if got is _UNSEEN:
+            got = self._keys[x] = self.family.uncond_key(x)
+        return got
 
-    def agreement(self, a: Event, b: Event) -> bool:
-        if self.is_table:
-            return self._partitions[a.mask] == self._partitions[b.mask]
-        return self.family.agreement(a, b)
+    def agreement(self, a: int, b: int) -> bool:
+        return self.family.signature(a) == self.family.signature(b)
 
-    def null_at(self, b: Event, a: Event) -> bool:
+    def null_at(self, b: int, a: int) -> bool:
         """b null at a (b must be a subevent): removing b changes nothing."""
-        key = (b.mask, a.mask)
-        cached = self._null.get(key)
-        if cached is None:
-            cached = self.agreement(Event(self.space, a.mask & ~b.mask), a)
-            self._null[key] = cached
-        return cached
+        key = (b, a)
+        got = self._null.get(key)
+        if got is None:
+            got = self._null[key] = self.agreement(a & ~b, a)
+        return got
+
+    def gg(self, a: int, b: int) -> bool:
+        """a dominates b: at their union a matters and b does not."""
+        union = a | b
+        return bool(union) and not self.null_at(a, union) and self.null_at(b, union)
 
     # -- quantifier universes -------------------------------------------
 
@@ -231,18 +200,27 @@ class _Fam:
         """Nested top events derived from nullity alone: peel off, at each
         stage, the singletons whose removal changes the stage's ranking."""
         chain = []
-        rest = self.space.full
-        while not rest.is_empty:
-            chain.append(rest)
+        rest = self.full
+        while rest:
+            chain.append(Event(self.space, rest))
             live = 0
-            for i in rest.members:
-                single = Event(self.space, 1 << i)
-                if not self.null_at(single, rest):
-                    live |= single.mask
+            for i in chain[-1].members:
+                if not self.null_at(1 << i, rest):
+                    live |= 1 << i
             if not live:
                 return None
-            rest = Event(self.space, rest.mask & ~live)
+            rest &= ~live
         return tuple(chain)
+
+
+_UNSEEN = object()
+
+
+def _order(x, y) -> Ordering:
+    """Ordering of two scores or two unconditional keys."""
+    if x == y:
+        return Ordering.INDIFFERENT
+    return Ordering.STRICTLY_PREFER if x > y else Ordering.STRICTLY_DISPREFER
 
 
 def _weak(o) -> bool:
@@ -261,53 +239,48 @@ def _strict(o) -> bool:
 
 
 def _eval_p0(fam: _Fam, chain: tuple[Event, ...], f: Act, g: Act) -> bool:
-    signs = [fam.cmp(e, f, g) for e in chain]
+    x, y = f.assignment, g.assignment
+    signs = [fam.cmp(e.mask, x, y) for e in chain]
     if any(s is None for s in signs):
         return True
-
-    def rule_weak(win, lose) -> bool:
-        for k, s in enumerate(signs):
-            if s is lose and not any(signs[j] is win for j in range(k + 1)):
-                return False
-        return True
-
-    u = fam.uncond(f, g)
+    u = fam.uncond(x, y)
     if u is None:
         return True
-    forward = rule_weak(Ordering.STRICTLY_PREFER, Ordering.STRICTLY_DISPREFER)
-    backward = rule_weak(Ordering.STRICTLY_DISPREFER, Ordering.STRICTLY_PREFER)
+    forward = weakly_preferred(signs, Ordering.STRICTLY_PREFER, Ordering.STRICTLY_DISPREFER)
+    backward = weakly_preferred(signs, Ordering.STRICTLY_DISPREFER, Ordering.STRICTLY_PREFER)
     return (_weak(u) == forward) and (_weak(u.flip()) == backward)
 
 
 def _eval_p1(fam: _Fam, a: Event, f: Act, g: Act, h: Act) -> bool:
-    base = fam.cmp(a, f, g)
-    moved = fam.cmp(a, compose(f, a, h), compose(g, a, h))
+    m, x, y, z = a.mask, f.assignment, g.assignment, h.assignment
+    base = fam.cmp(m, x, y)
+    moved = fam.cmp(m, splice(x, m, z), splice(y, m, z))
     if base is None or moved is None:
         return True
     return base == moved
 
 
 def _eval_p2(fam: _Fam, a: Event, b: Event, f: Act, g: Act) -> bool:
-    rest = Event(fam.space, a.mask & ~b.mask)
-    for x, y in ((f, g), (g, f)):
-        at_b = fam.cmp(b, x, y)
+    rest = a.mask & ~b.mask
+    for x, y in ((f.assignment, g.assignment), (g.assignment, f.assignment)):
+        at_b = fam.cmp(b.mask, x, y)
         at_rest = fam.cmp(rest, x, y)
-        at_a = fam.cmp(a, x, y)
+        at_a = fam.cmp(a.mask, x, y)
         if None in (at_b, at_rest, at_a):
             return True
         if _weak(at_b) and _weak(at_rest) and not _weak(at_a):
             return False
         if _weak(at_a) and not (_weak(at_b) or _weak(at_rest)):
             return False
-        if not fam.null_at(b, a):
+        if not fam.null_at(b.mask, a.mask):
             if _strict(at_b) and _weak(at_rest) and not _strict(at_a):
                 return False
     return True
 
 
 def _eval_p3(fam: _Fam, a: Event, f: Act, g: Act) -> bool:
-    here = fam.cmp(a, f, g)
-    at_s = fam.cmp(fam.space.full, f, g)
+    here = fam.cmp(a.mask, f.assignment, g.assignment)
+    at_s = fam.cmp(fam.full, f.assignment, g.assignment)
     if here is None or at_s is None:
         return True
     return here == at_s
@@ -316,30 +289,32 @@ def _eval_p3(fam: _Fam, a: Event, f: Act, g: Act) -> bool:
 def _eval_p4(
     fam: _Fam, a: Event, b: Event, c: Event, f: Act, fp: Act, g: Act, gp: Act
 ) -> bool:
-    first = fam.cmp(a, compose(f, b, fp), compose(f, c, fp))
-    second = fam.cmp(a, compose(g, b, gp), compose(g, c, gp))
+    bm, cm = b.mask, c.mask
+    x, xp, y, yp = f.assignment, fp.assignment, g.assignment, gp.assignment
+    first = fam.cmp(a.mask, splice(x, bm, xp), splice(x, cm, xp))
+    second = fam.cmp(a.mask, splice(y, bm, yp), splice(y, cm, yp))
     if first is None or second is None:
         return True
     return not (_weak(first) and not _weak(second))
 
 
 def _eval_p5(fam: _Fam) -> bool:
-    consts = list(fam.constants.values())
-    full = fam.space.full
+    consts = [c.assignment for c in fam.constants.values()]
     return any(
-        _strict(fam.cmp(full, x, y)) or _strict(fam.cmp(full, y, x))
+        _strict(fam.cmp(fam.full, x, y)) or _strict(fam.cmp(fam.full, y, x))
         for i, x in enumerate(consts)
         for y in consts[i + 1 :]
     )
 
 
 def _eval_p6(fam: _Fam, a: Event, f: Act, g: Act, h: Act) -> bool:
-    if not _strict(fam.cmp(a, f, g)):
+    m, x, y, z = a.mask, f.assignment, g.assignment, h.assignment
+    if not _strict(fam.cmp(m, x, y)):
         return True
     for cells in enumerate_partitions(a):
         if all(
-            _strict(fam.cmp(a, f, compose(h, cell, g)))
-            and _strict(fam.cmp(a, compose(h, cell, f), g))
+            _strict(fam.cmp(m, x, splice(z, cell.mask, y)))
+            and _strict(fam.cmp(m, splice(z, cell.mask, x), y))
             for cell in cells
         ):
             return True
@@ -348,14 +323,14 @@ def _eval_p6(fam: _Fam, a: Event, f: Act, g: Act, h: Act) -> bool:
 
 def _eval_se_first(fam: _Fam, chain: tuple[Event, ...], b: Event) -> bool:
     premise = all(
-        fam.agreement(e, Event(fam.space, e.mask & ~b.mask))
+        fam.agreement(e.mask, e.mask & ~b.mask)
         for e in chain
         if b.is_subset(e)
     )
     if not premise:
         return True
     return all(
-        fam.agreement(a, Event(fam.space, a.mask & ~b.mask))
+        fam.agreement(a.mask, a.mask & ~b.mask)
         for a in fam.space.all_events()
         if b.is_subset(a)
     )
@@ -364,31 +339,25 @@ def _eval_se_first(fam: _Fam, chain: tuple[Event, ...], b: Event) -> bool:
 def _eval_se_second(fam: _Fam, a: Event, e: Event) -> bool:
     if not e.is_subset(a):
         return True
-    return fam.agreement(a, Event(fam.space, a.mask & ~e.mask)) or fam.agreement(a, e)
+    return fam.agreement(a.mask, a.mask & ~e.mask) or fam.agreement(a.mask, e.mask)
 
 
 def _eval_nullity(fam: _Fam, a: Event, b: Event, c: Event) -> bool:
-    b_rem = Event(fam.space, b.mask & ~c.mask)
-    if fam.null_at(b, a) and not fam.null_at(c, a):
+    am, bm, cm = a.mask, b.mask, c.mask
+    if fam.null_at(bm, am) and not fam.null_at(cm, am):
         return False
-    if fam.null_at(c, a) and fam.null_at(b_rem, a) and not fam.null_at(b, a):
+    if fam.null_at(cm, am) and fam.null_at(bm & ~cm, am) and not fam.null_at(bm, am):
         return False
-    if fam.null_at(c, b) and not fam.null_at(c, a):
+    if fam.null_at(cm, bm) and not fam.null_at(cm, am):
         return False
     return True
 
 
-def _gg(fam: _Fam, a: Event, b: Event) -> bool:
-    union = Event(fam.space, a.mask | b.mask)
-    if union.is_empty:
-        return False
-    return (not fam.null_at(a, union)) and fam.null_at(b, union)
-
-
 def _eval_dominance(fam: _Fam, a: Event, b: Event, c: Event) -> bool:
-    if a == b == c and _gg(fam, a, a):
+    am, bm, cm = a.mask, b.mask, c.mask
+    if am == bm == cm and fam.gg(am, am):
         return False
-    if _gg(fam, a, b) and _gg(fam, b, c) and not _gg(fam, a, c):
+    if fam.gg(am, bm) and fam.gg(bm, cm) and not fam.gg(am, cm):
         return False
     return True
 
@@ -396,43 +365,25 @@ def _eval_dominance(fam: _Fam, a: Event, b: Event, c: Event) -> bool:
 _BET_CACHE_NOTE = "bets use the best and worst constants at S"
 
 
-def _qp_masses(fam: _Fam, a: Event, best: Act, worst: Act) -> dict[int, int] | None:
-    """Ranks of the bet acts for every subevent of a (higher = more
-    probable); None when the table lacks some bet composite."""
-    ranks: dict[int, int] = {}
-    subsets = []
-    sub = a.mask
-    while True:
-        subsets.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & a.mask
-    bets = {m: compose(best, Event(fam.space, m), worst) for m in subsets}
-    scored: list[tuple] = []
-    for m, bet in bets.items():
-        if fam.is_table:
-            name = fam._names.get(bet.assignment)
-            if name is None:
-                fam.skipped += 1
-                return None
-            scored.append((-fam._rank[a.mask][name], m))
-        else:
-            scored.append((fam._score(a.mask, bet), m))
-    order = sorted(scored)
-    level = 0
-    prev = None
-    for sc, m in order:
-        if prev is not None and sc != prev:
-            level += 1
-        ranks[m] = level
-        prev = sc
-    return ranks
+def _qp_masses(
+    fam: _Fam, at: int, within: int, best: tuple[int, ...], worst: tuple[int, ...]
+) -> dict[int, int] | None:
+    """Dense ranks, at the event `at`, of the bets (best prize on the
+    subevent, worst off it) on every subevent of `within`; higher means
+    more probable.  None when the table lacks some bet composite."""
+    scored = []
+    for m in _submasks(within):
+        score = fam.score(at, splice(best, m, worst))
+        if score is None:
+            fam.skipped += 1
+            return None
+        scored.append((score, m))
+    level = {s: k for k, s in enumerate(sorted({s for s, _ in scored}))}
+    return {m: level[s] for s, m in scored}
 
 
 def _eval_qp_additivity(ranks: dict[int, int], b: int, c: int, d: int) -> bool:
-    lhs = ranks[b] - ranks[c]
-    rhs = ranks[b | d] - ranks[c | d]
-    return (lhs > 0) == (rhs > 0) and (lhs == 0) == (rhs == 0)
+    return sign(ranks[b] - ranks[c]) == sign(ranks[b | d] - ranks[c | d])
 
 
 # -- checkers ---------------------------------------------------------------
@@ -521,11 +472,11 @@ def _check_p3(fam: _Fam, budget: int) -> AxiomReport:
 
 def _check_p4(fam: _Fam, budget: int) -> AxiomReport:
     consts = list(fam.constants.values())
-    full = fam.space.full
     # tied prizes make the premise vacuous and the implication absurd, so
     # only strictly ordered constant pairs are quantified over
     prize_pairs = [
-        (x, y) for x in consts for y in consts if _strict(fam.cmp(full, x, y))
+        (x, y) for x in consts for y in consts
+        if _strict(fam.cmp(fam.full, x.assignment, y.assignment))
     ]
     failures = []
     count = 0
@@ -567,7 +518,7 @@ def _check_p6(fam: _Fam, budget: int) -> AxiomReport:
     for a in events:
         for f, g in pairs:
             for x, y in ((f, g), (g, f)):
-                if not _strict(fam.cmp(a, x, y)):
+                if not _strict(fam.cmp(a.mask, x.assignment, y.assignment)):
                     continue
                 for h in consts:
                     count += 1
@@ -616,7 +567,7 @@ def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
         w = Witness((fam.space.full,), tuple(fam.constants.values()), "no strict constant pair")
         return AxiomReport("QP", AxiomStatus.VIOLATED, (w,), {"instances": 0})
     for a in fam.events():
-        ranks = _qp_masses(fam, a, best, worst)
+        ranks = _qp_masses(fam, a.mask, a.mask, best.assignment, worst.assignment)
         if ranks is None:
             continue
         # ranked tiers are a weak order by construction; positivity and
@@ -653,16 +604,20 @@ def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
 
 
 def _prize_pair(fam: _Fam) -> tuple[Act | None, Act | None]:
+    """The first best and the first worst constant act at S, or a pair of
+    Nones when no constant is strictly above another."""
     consts = list(fam.constants.values())
-    full = fam.space.full
-    best = consts[0]
-    worst = consts[0]
+
+    def above(x: Act, y: Act) -> bool:
+        return _strict(fam.cmp(fam.full, x.assignment, y.assignment))
+
+    best = worst = consts[0]
     for c in consts[1:]:
-        if _strict(fam.cmp(full, c, best)):
+        if above(c, best):
             best = c
-        if _strict(fam.cmp(full, worst, c)):
+        if above(worst, c):
             worst = c
-    if _strict(fam.cmp(full, best, worst)):
+    if above(best, worst):
         return best, worst
     return None, None
 
@@ -689,22 +644,14 @@ def _check_dominance(fam: _Fam, budget: int) -> AxiomReport:
         count += 1
         if not _eval_dominance(fam, a, a, a):
             failures.append(Witness((a, a, a), (), "an event dominates itself"))
-    gg_pairs: dict[tuple[int, int], bool] = {}
-
-    def gg(x: Event, y: Event) -> bool:
-        key = (x.mask, y.mask)
-        if key not in gg_pairs:
-            gg_pairs[key] = _gg(fam, x, y)
-        return gg_pairs[key]
-
     succ: dict[int, list[Event]] = {}
     for a in events:
-        succ[a.mask] = [b for b in events if gg(a, b)]
+        succ[a.mask] = [b for b in events if fam.gg(a.mask, b.mask)]
     for a in events:
         for b in succ[a.mask]:
             for c in succ[b.mask]:
                 count += 1
-                if not gg(a, c):
+                if not fam.gg(a.mask, c.mask):
                     failures.append(Witness((a, b, c), (), "dominance is not transitive"))
     return _report("DOMINANCE", failures, {"instances": count})
 
@@ -722,6 +669,10 @@ _CHECKERS: dict[str, Callable[[_Fam, int], AxiomReport]] = {
     "NULLITY": _check_nullity,
     "DOMINANCE": _check_dominance,
 }
+AXIOM_IDS = tuple(_CHECKERS)
+# the axioms of the representation; P6.5 is informational and the last
+# three are appendix-level laws
+CORE_IDS = tuple(i for i in AXIOM_IDS[:8] if i != "P6.5")
 
 
 def check_axiom(family, axiom_id: str, budget: int = DEFAULT_BUDGET) -> AxiomReport:
@@ -780,7 +731,7 @@ def replay_witness(family, axiom_id: str, witness: Witness) -> bool:
         best, worst = _prize_pair(fam)
         if best is None:
             return False
-        ranks = _qp_masses(fam, ev[0], best, worst)
+        ranks = _qp_masses(fam, ev[0].mask, ev[0].mask, best.assignment, worst.assignment)
         if ranks is None:
             return True
         if len(ev) == 1:

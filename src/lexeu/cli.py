@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .axioms import AxiomStatus, check_all
+from .axioms import AXIOM_IDS, CORE_IDS, AxiomStatus, check_all
 from .conditioning import observability_check, savage_conditional, strong_conditional_strict
 from .errors import (
     AxiomPrecheckFailed,
@@ -37,9 +37,6 @@ from .preference import (
     qual_prob_compare,
 )
 from .synthesis import synthesize
-
-CORE_SUITE = ("P0.5", "P1.5", "P2.5", "P3.5", "P4.5", "P5.5", "SE")
-FULL_SUITE = ("P0.5", "P1.5", "P2.5", "P3.5", "P4.5", "P5.5", "P6.5", "SE", "QP", "NULLITY", "DOMINANCE")
 
 SYMBOL = {
     Ordering.STRICTLY_PREFER: "≻",     # ≻
@@ -268,7 +265,7 @@ def cmd_lottery(args) -> int:
 def cmd_axioms(args) -> int:
     model = io.parse_model(args.model)
     family = ModelBackedFamily(model)
-    ids = CORE_SUITE if args.suite == "core" else FULL_SUITE
+    ids = CORE_IDS if args.suite == "core" else AXIOM_IDS
     if args.budget is not None:
         suite = check_all(family, ids=ids, budget=args.budget)
     else:

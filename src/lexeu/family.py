@@ -5,11 +5,16 @@ family either wraps a model (rankings computed on demand) or is an
 explicit table of ranked tiers over a finite act list.  The empty event's
 ranking is degenerate by construction — every act ties — and is never
 stored.
+
+Both kinds answer the same three questions, by event mask and act
+assignment, which is all the axiom checkers ask of them: `score` (an int
+per act at a nonempty event, higher is better, comparable only at that
+event), `uncond_key` (the same for the unconditional ranking) and
+`signature` (equal for two events exactly when their rankings agree).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .acts import Act, OutcomeSpace, enumerate_acts
@@ -72,6 +77,7 @@ class TableBackedFamily:
             self._rank[mask] = self._check_tiers(tiers, f"event mask {mask}")
         self._uncond_rank = self._check_tiers(self.unconditional, "unconditional entry")
         self._name_by_assignment = {act.assignment: name for name, act in self.acts.items()}
+        self._partitions: dict[int, tuple[frozenset[str], ...]] = {}
 
     def _check_tiers(self, tiers: Tiers, where: str) -> dict[str, int]:
         rank: dict[str, int] = {}
@@ -113,22 +119,33 @@ class TableBackedFamily:
         if a.is_empty:
             return DEGENERATE
         rank = self._rank[a.mask]
-        return Ordering.from_difference(
-            Fraction(rank[self.name_of(g)] - rank[self.name_of(f)])
-        )
+        return Ordering.from_difference(rank[self.name_of(g)] - rank[self.name_of(f)])
 
     def unconditional_compare(self, f: Act | str, g: Act | str) -> Ordering:
         r = self._uncond_rank
-        return Ordering.from_difference(
-            Fraction(r[self.name_of(g)] - r[self.name_of(f)])
-        )
+        return Ordering.from_difference(r[self.name_of(g)] - r[self.name_of(f)])
+
+    # -- the rank oracle: minus tier indices, None for unlisted acts ----
+
+    def score(self, mask: int, x: tuple[int, ...]) -> int | None:
+        name = self._name_by_assignment.get(x)
+        return None if name is None else -self._rank[mask][name]
+
+    def uncond_key(self, x: tuple[int, ...]) -> int | None:
+        name = self._name_by_assignment.get(x)
+        return None if name is None else -self._uncond_rank[name]
+
+    def signature(self, mask: int) -> tuple[frozenset[str], ...]:
+        """The ranking as an ordered partition, built once per event; the
+        empty event's is the single all-acts block."""
+        got = self._partitions.get(mask)
+        if got is None:
+            tiers = self.tiers[mask] if mask else (tuple(self.acts),)
+            got = self._partitions[mask] = tuple(frozenset(t) for t in tiers)
+        return got
 
     def partition_at(self, a: Event) -> tuple[frozenset[str], ...]:
-        """The ranking as an ordered partition; the empty event's is the
-        single all-acts block."""
-        if a.is_empty:
-            return (frozenset(self.acts),)
-        return tuple(frozenset(t) for t in self.tiers[a.mask])
+        return self.signature(a.mask)
 
     def agreement(self, a: Event, b: Event) -> bool:
         return self.partition_at(a) == self.partition_at(b)
@@ -188,6 +205,18 @@ class ModelBackedFamily:
 
     def agreement(self, a: Event, b: Event) -> bool:
         return agreement(self.model, a, b)
+
+    # -- the rank oracle, read off the compiled kernel ------------------
+
+    def score(self, mask: int, x: tuple[int, ...]) -> int:
+        return self.model.kernel.score(mask, x)
+
+    def uncond_key(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        return self.model.kernel.values(x)
+
+    def signature(self, mask: int) -> tuple[int, tuple[int, ...]] | None:
+        """Class and core; equal cores within a class mean equal measures."""
+        return self.model.kernel.event(mask) if mask else None
 
 
 PreferenceFamily = ModelBackedFamily | TableBackedFamily

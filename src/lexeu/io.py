@@ -75,12 +75,20 @@ def _labels(data: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _spaces(states, outcomes, where: str) -> tuple[StateSpace, OutcomeSpace]:
+    try:
+        return StateSpace(states), OutcomeSpace(outcomes)
+    except ValueError as exc:  # empty, too few or repeated labels
+        raise ParseError(f"{where}: {exc}") from None
+
+
 # -- models ----------------------------------------------------------------
 
 
 def model_from_dict(data: dict, where: str = "model") -> GsleuModel:
-    space = StateSpace(_labels(data, "states", where))
-    ospace = OutcomeSpace(_labels(data, "outcomes", where))
+    space, ospace = _spaces(
+        _labels(data, "states", where), _labels(data, "outcomes", where), where
+    )
     raw_levels = data.get("levels")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise ParseError(f"{where}: 'levels' must be a nonempty array")
@@ -240,8 +248,7 @@ def table_from_dict(data: dict, where: str = "table") -> TableBackedFamily:
             for o in raw["map"].values():
                 seen.setdefault(o, None)
         outcomes = tuple(seen)
-    space = StateSpace(states)
-    ospace = OutcomeSpace(outcomes)
+    space, ospace = _spaces(states, outcomes, where)
     acts: dict[str, Act] = {}
     for i, raw in enumerate(raw_acts):
         name, act = act_from_dict(raw, space, ospace, where=f"{where}: acts[{i}]")

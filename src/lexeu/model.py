@@ -22,6 +22,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
 @dataclass(frozen=True)
 class Level:
     """One stratum of the lexicographic hierarchy.
@@ -97,9 +101,6 @@ def validate_model(m: GsleuModel) -> ValidationReport:
     nout = m.outcome_space.size
     if m.depth < 1:
         bad.append("model has no levels")
-
-    def sign(x: Fraction) -> int:
-        return (x > 0) - (x < 0)
 
     covered = 0
     for k, lv in enumerate(m.levels, start=1):

@@ -19,6 +19,7 @@ from .model import (
     ZERO,
     class_of,
     conditional_measure,
+    sign,
     top_event_chain,
 )
 
@@ -151,6 +152,16 @@ def lex_prefer(m: GsleuModel, f: Act, g: Act) -> LexVerdict:
     return LexVerdict(Ordering.from_difference(diff), k)
 
 
+def weakly_preferred(signs: Iterable[Ordering], win: Ordering, lose: Ordering) -> bool:
+    """The lexicographic rule, read literally off per-chain-event
+    verdicts: every chain event at which `lose` holds is preceded
+    (inclusively) by one at which `win` holds."""
+    signs = list(signs)
+    return all(
+        any(t is win for t in signs[: k + 1]) for k, s in enumerate(signs) if s is lose
+    )
+
+
 def lex_prefer_bruteforce(m: GsleuModel, f: Act, g: Act) -> LexVerdict:
     """Literal evaluation of the lexicographic rule over the chain.
 
@@ -176,15 +187,6 @@ def lex_prefer_bruteforce(m: GsleuModel, f: Act, g: Act) -> LexVerdict:
             ZERO,
         )
         strict_at.append(Ordering.from_difference(diff))
-
-    def weakly_preferred(signs: Iterable[Ordering], win: Ordering, lose: Ordering) -> bool:
-        signs = list(signs)
-        for k, s in enumerate(signs):
-            if s is lose:
-                if not any(signs[j] is win for j in range(k + 1)):
-                    return False
-        return True
-
     fw = weakly_preferred(strict_at, Ordering.STRICTLY_PREFER, Ordering.STRICTLY_DISPREFER)
     gw = weakly_preferred(strict_at, Ordering.STRICTLY_DISPREFER, Ordering.STRICTLY_PREFER)
     if fw and gw:
@@ -344,10 +346,6 @@ class RiskProfile:
 def risk_profile(m: GsleuModel) -> RiskProfile:
     """Pairwise comparison of level utilities: same ranking? same up to a
     positive affine map?"""
-
-    def sign(x: Fraction) -> int:
-        return (x > 0) - (x < 0)
-
     rels = []
     nout = m.outcome_space.size
     for j in range(1, m.depth + 1):

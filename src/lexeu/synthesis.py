@@ -23,8 +23,17 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Sequence
 
-from .acts import Act, compose, constant_act
-from .axioms import AxiomReport, AxiomStatus, check_axiom
+from .acts import Act, compose
+from .axioms import (
+    CORE_IDS,
+    AxiomReport,
+    AxiomStatus,
+    _Fam,
+    _prize_pair,
+    _qp_masses,
+    _submasks,
+    check_axiom,
+)
 from .errors import (
     AxiomPrecheckFailed,
     CapExceeded,
@@ -40,10 +49,13 @@ from .feasibility import (
     optimize_closure,
     solve,
 )
-from .model import GsleuModel, Level, ONE, ZERO, validate_model
-from .preference import ClassPartition, Ordering
+from .model import GsleuModel, Level, ONE, ZERO, sign, validate_model
+from .preference import ClassPartition
 
-PRECHECK_IDS = ("P1.5", "P2.5", "P3.5", "P4.5", "P5.5", "SE", "P0.5")
+# the unconditional P0.5 runs last; the hierarchy needs only the indexed
+# rankings' axioms
+PRECHECK_IDS = CORE_IDS[1:] + CORE_IDS[:1]
+HIERARCHY_IDS = ("P1.5", "P2.5", "P3.5", "P4.5", "P5.5")
 PRECHECK_BUDGET = 60_000
 VERTEX_RETRY_CAP = 25
 T_DENOMINATOR_CAP = 16
@@ -82,31 +94,23 @@ def infer_hierarchy(
     most probable down.
     """
     if precheck:
-        _gate(table, PRECHECK_IDS[:5], budget)
+        _gate(table, HIERARCHY_IDS, budget)
     space = table.space
-    parts = {ev.mask: table.partition_at(ev) for ev in space.all_events()}
-
-    def null_at(b_mask: int, a_mask: int) -> bool:
-        return parts[a_mask & ~b_mask] == parts[a_mask]
-
-    def outranks(x_mask: int, y_mask: int) -> bool:
-        union = x_mask | y_mask
-        return not null_at(x_mask, union) and null_at(y_mask, union)
-
+    fam = _Fam(table)
     groups: list[list[int]] = []
     for ev in space.all_events():
         if ev.is_empty:
             continue
         for group in groups:
             rep = group[0]
-            if not outranks(ev.mask, rep) and not outranks(rep, ev.mask):
+            if not fam.gg(ev.mask, rep) and not fam.gg(rep, ev.mask):
                 group.append(ev.mask)
                 break
         else:
             groups.append([ev.mask])
 
     def higher_first(a: list[int], b: list[int]) -> int:
-        return -1 if outranks(a[0], b[0]) else 1
+        return -1 if fam.gg(a[0], b[0]) else 1
 
     groups.sort(key=cmp_to_key(higher_first))
     return ClassPartition(
@@ -158,36 +162,25 @@ def measure_from_order(
     return {a: result.assignment[a] for a in atoms}, system
 
 
+def _view(table: TableBackedFamily) -> _Fam:
+    """The table's rank oracle.  Fitting reads every constant act, so a
+    partial table has to list them all."""
+    fam = _Fam(table)
+    for act in fam.constants.values():
+        table.name_of(act)
+    return fam
+
+
 def _prize_constants(table: TableBackedFamily) -> tuple[Act, Act]:
-    full = table.space.full
-    consts = [
-        constant_act(o, table.space, table.outcome_space)
-        for o in table.outcome_space.outcomes
-    ]
-    best = worst = consts[0]
-    for c in consts[1:]:
-        if table.prefer_at(full, c, best) is Ordering.STRICTLY_PREFER:
-            best = c
-        if table.prefer_at(full, worst, c) is Ordering.STRICTLY_PREFER:
-            worst = c
-    if table.prefer_at(full, best, worst) is not Ordering.STRICTLY_PREFER:
+    best, worst = _prize_pair(_view(table))
+    if best is None:
         report = check_axiom(table, "P5.5")
         raise AxiomPrecheckFailed("no strictly ranked constant acts", reports=(report,))
     return best, worst
 
 
-def _submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & mask
-
-
 def _bet_order(
-    table: TableBackedFamily, supp: Event, at: Event
+    fam: _Fam, supp: Event, at: Event
 ) -> list[tuple[tuple[str, ...], str, tuple[str, ...]]]:
     """Rank all bets on subevents of the support by the table's order at
     the given event: bet(B) stakes the best prize on B, the worst off it.
@@ -196,16 +189,16 @@ def _bet_order(
     emitted; transitivity recovers every other pair, so the realizing
     measures are the same with far fewer rows.
     """
-    best, worst = _prize_constants(table)
-    space = table.space
-    tier_index = {
-        name: i for i, tier in enumerate(table.partition_at(at)) for name in tier
-    }
+    best, worst = _prize_constants(fam.family)
+    space = fam.space
+    ranks = _qp_masses(fam, at.mask, supp.mask, best.assignment, worst.assignment)
+    if ranks is None:  # name the first bet the table lacks
+        for m in _submasks(supp.mask):
+            fam.family.name_of(compose(best, Event(space, m), worst))
     by_rank: dict[int, list[int]] = {}
     for m in _submasks(supp.mask):
-        bet = compose(best, Event(space, m), worst)
-        by_rank.setdefault(tier_index[table.name_of(bet)], []).append(m)
-    ordered = [by_rank[r] for r in sorted(by_rank)]
+        by_rank.setdefault(ranks[m], []).append(m)
+    ordered = [by_rank[r] for r in sorted(by_rank, reverse=True)]
     out = []
     for group in ordered:
         rep = Event(space, group[0]).labels
@@ -223,7 +216,7 @@ def infer_measure(
     class's top event."""
     supp = partition.supports[class_index - 1]
     top = partition.top_events[class_index - 1]
-    measure, _ = measure_from_order(supp.labels, _bet_order(table, supp, top))
+    measure, _ = measure_from_order(supp.labels, _bet_order(_view(table), supp, top))
     return measure
 
 
@@ -368,25 +361,65 @@ def _reduced_solve(system: ConstraintSystem) -> FeasibilityResult:
     return solve(reduced)
 
 
-def _constant_tiers(table: TableBackedFamily, at: Event) -> list[list[str]]:
+def _constant_tiers(fam: _Fam, at: Event) -> list[list[str]]:
     """Outcome labels grouped and ordered by the constant-act ranking."""
-    ranked: list[tuple[list[str], Act]] = []
-    for o in table.outcome_space.outcomes:
-        act = constant_act(o, table.space, table.outcome_space)
-        for group in ranked:
-            if table.prefer_at(at, act, group[1]) is Ordering.INDIFFERENT:
-                group[0].append(o)
-                break
+    by_score: dict[int, list[str]] = {}
+    for o, act in fam.constants.items():
+        by_score.setdefault(fam.score(at.mask, act.assignment), []).append(o)
+    return [by_score[s] for s in sorted(by_score, reverse=True)]
+
+
+def _pinned(tiers: list[list[str]]) -> dict[str, Fraction]:
+    """The normalization every fit uses: the best constant tier at 1 and
+    the worst at 0."""
+    fixed = {o: ONE for o in tiers[0]}
+    fixed.update({o: ZERO for o in tiers[-1]})
+    return fixed
+
+
+def _on_t(rows, fixed: dict[str, Fraction], p: dict[str, Fraction] | None = None):
+    """Each ranking row as (a, b, rel), read a + b*t rel 0, where t is the
+    one utility value left out of `fixed` (shared by every outcome left
+    out).  Under a measure p every row folds; without one only the
+    single-state rows do, since their lone positive probability factors
+    out."""
+    for items, rel in rows:
+        if p is None and len({s for (s, _), _ in items}) != 1:
+            continue
+        a = b = ZERO
+        for (s, o), cnt in items:
+            w = cnt if p is None else cnt * p[s]
+            if o in fixed:
+                a += w * fixed[o]
+            else:
+                b += w
+        yield a, b, rel
+
+
+def _t_bounds(folded) -> tuple[Fraction, Fraction, Fraction | None] | None:
+    """What folded rows say about t: (low, high, pinned-or-None), with t
+    strictly between low (at least 0) and high (at most 1), and equal to
+    pinned when that is set; None when some rows already conflict."""
+    lo, hi = ZERO, ONE
+    pinned: Fraction | None = None
+    for a, b, rel in folded:
+        if rel is Rel.EQ:
+            if b == 0:
+                if a != 0:
+                    return None
+                continue
+            t = -a / b
+            if pinned is not None and t != pinned:
+                return None
+            pinned = t
+        elif b == 0:
+            if a <= 0:
+                return None
+        elif b > 0:
+            lo = max(lo, -a / b)
         else:
-            ranked.append(([o], act))
-    ranked.sort(
-        key=cmp_to_key(
-            lambda a, b: -1
-            if table.prefer_at(at, a[1], b[1]) is Ordering.STRICTLY_PREFER
-            else 1
-        )
-    )
-    return [group[0] for group in ranked]
+            hi = min(hi, -a / b)
+    return lo, hi, pinned
 
 
 class _ClassRows:
@@ -408,25 +441,22 @@ class _ClassRows:
     between them), so they hold automatically and are not generated.
     """
 
-    def __init__(self, table: TableBackedFamily, supp: Event):
-        self.table = table
+    def __init__(self, fam: _Fam, supp: Event):
+        self.fam = fam
         self.supp = supp
-        self.const_tiers = _constant_tiers(table, supp)
+        self.const_tiers = _constant_tiers(fam, supp)
         self.rows: list[tuple[tuple[tuple[tuple[str, str], int], ...], Rel]] = []
         seen: set = set()
-        outs = table.outcome_space.outcomes
+        outs = fam.outcome_space.outcomes
         members = supp.members
-        rep_name: dict[tuple[int, ...], str] = {}
-        for name, act in table.acts.items():
+        keys: set[tuple[int, ...]] = set()
+        by_score: dict[int, list[tuple[int, ...]]] = {}
+        for _, act in fam.universe:
             key = tuple(act.assignment[i] for i in members)
-            rep_name.setdefault(key, name)
-        tier_of = {
-            n: r for r, tier in enumerate(table.partition_at(supp)) for n in tier
-        }
-        by_rank: dict[int, list[tuple[int, ...]]] = {}
-        for key, name in rep_name.items():
-            by_rank.setdefault(tier_of[name], []).append(key)
-        ordered = [sorted(by_rank[r]) for r in sorted(by_rank)]
+            if key not in keys:
+                keys.add(key)
+                by_score.setdefault(fam.score(supp.mask, act.assignment), []).append(key)
+        ordered = [sorted(by_score[s]) for s in sorted(by_score, reverse=True)]
         for tier in ordered:
             for other in tier[1:]:
                 self._push(members, outs, other, tier[0], Rel.EQ, seen)
@@ -435,7 +465,7 @@ class _ClassRows:
 
     def _push(self, members, outs, fkey, gkey, rel, seen) -> None:
         counts: dict[tuple[str, str], int] = {}
-        states = self.table.space.states
+        states = self.fam.space.states
         for j, i in enumerate(members):
             if fkey[j] == gkey[j]:
                 continue
@@ -466,64 +496,29 @@ class _ClassRows:
         if len(tiers) > 3:
             result = _reduced_solve(self.utility_system(p))
             return dict(result.assignment) if result.feasible else None
-        pin: dict[str, Fraction | None] = {}
-        for o in tiers[0]:
-            pin[o] = ONE
-        for o in tiers[-1]:
-            pin[o] = ZERO
-        mids = tiers[1] if len(tiers) == 3 else []
-        for o in mids:
-            pin[o] = None  # the one unknown, shared across its tier
         if len(tiers) == 1:
             return None  # best and worst coincide: no normalized utility
-        lo, hi = ZERO, ONE
-        pinned_t: Fraction | None = None
-        for items, rel in self.rows:
-            a = ZERO
-            b = ZERO
-            for (s, o), cnt in items:
-                w = cnt * p[s]
-                if pin[o] is None:
-                    b += w
-                else:
-                    a += w * pin[o]
-            if rel is Rel.EQ:
-                if b == 0:
-                    if a != 0:
-                        return None
-                    continue
-                t = -a / b
-                if pinned_t is not None and t != pinned_t:
-                    return None
-                pinned_t = t
-            elif b == 0:
-                if a <= 0:
-                    return None
-            elif b > 0:
-                lo = max(lo, -a / b)
-            else:
-                hi = min(hi, -a / b)
-        if pinned_t is not None:
-            if not lo < pinned_t < hi:
+        fixed = _pinned(tiers)
+        bounds = _t_bounds(_on_t(self.rows, fixed, p))
+        if bounds is None:
+            return None
+        lo, hi, pinned = bounds
+        if pinned is not None:
+            if not lo < pinned < hi:
                 return None
-            t = pinned_t
+            t = pinned
         elif lo < hi:
             t = (lo + hi) / 2
-        elif mids:
-            return None
         else:
-            t = None
-        out = {o: v for o, v in pin.items() if v is not None}
-        for o in mids:
-            out[o] = t
-        return out
+            return None  # the rows leave the middle utility no room
+        mids = tiers[1] if len(tiers) == 3 else []
+        return {**fixed, **{o: t for o in mids}}
 
     def utility_system(self, p: dict[str, Fraction]) -> ConstraintSystem:
         """Linear system for u at measure p, normalized so the best
         constant sits at 1 and the worst at 0."""
-        table = self.table
         tiers = self.const_tiers
-        system = ConstraintSystem(tuple(table.outcome_space.outcomes))
+        system = ConstraintSystem(tuple(self.fam.outcome_space.outcomes))
         for o in tiers[0]:
             system.add({o: ONE}, Rel.EQ, ONE)
         for o in tiers[-1]:
@@ -594,43 +589,19 @@ class _ClassRows:
         return True
 
     def middle_bounds(
-        self, fixed: dict[str, Fraction], mid: str
+        self, fixed: dict[str, Fraction]
     ) -> tuple[Fraction, Fraction, Fraction | None] | None:
         """What single-state rows alone say about the middle utility:
         (low, high, pinned-or-None), or None when they already conflict.
         These bounds hold for every measure, since a lone positive
         probability factors out of its row."""
-        lo, hi = ZERO, ONE
-        pinned: Fraction | None = None
-        for items, rel in self.rows:
-            if len({s for (s, _), _ in items}) != 1:
-                continue
-            a = ZERO
-            b = ZERO
-            for (_, o), cnt in items:
-                if o == mid:
-                    b += cnt
-                else:
-                    a += cnt * fixed[o]
-            if rel is Rel.EQ:
-                if b == 0:
-                    if a != 0:
-                        return None
-                    continue
-                t = -a / b
-                if pinned is not None and t != pinned:
-                    return None
-                pinned = t
-            elif b == 0:
-                if a <= 0:
-                    return None
-            elif b > 0:
-                lo = max(lo, -a / b)
-            else:
-                hi = min(hi, -a / b)
+        bounds = _t_bounds(_on_t(self.rows, fixed))
+        if bounds is None:
+            return None
+        lo, hi, pinned = bounds
         if lo >= hi or (pinned is not None and not lo < pinned < hi):
             return None
-        return lo, hi, pinned
+        return bounds
 
     def relaxation(
         self, msys: ConstraintSystem, fixed: dict[str, Fraction], mid: str
@@ -663,21 +634,12 @@ class _ClassRows:
         return system
 
     def tie_candidates(
-        self, p0: dict[str, Fraction], fixed: dict[str, Fraction], mid: str
+        self, p0: dict[str, Fraction], fixed: dict[str, Fraction]
     ) -> Iterator[Fraction]:
         """Values of the middle utility solving some tie row under p0."""
-        for items, rel in self.rows:
-            if rel is not Rel.EQ:
-                continue
-            num = ZERO
-            den = ZERO
-            for (s, o), cnt in items:
-                if o == mid:
-                    den += cnt * p0[s]
-                else:
-                    num += cnt * p0[s] * fixed[o]
-            if den:
-                yield -num / den
+        for a, b, rel in _on_t(self.rows, fixed, p0):
+            if rel is Rel.EQ and b:
+                yield -a / b
 
 
 def _measure_vertices(
@@ -727,16 +689,16 @@ def infer_utility(
         if mass > ZERO:
             supp_mask |= 1 << table.space.index(label)
     supp = Event(table.space, supp_mask)
-    rows = _ClassRows(table, supp)
+    rows = _ClassRows(_view(table), supp)
     u = rows.fit_utility(measure)
     if u is not None:
         return u
-    _, u, _ = _fit_class(table, supp, supp, rows)
+    _, u, _ = _fit_class(rows.fam, supp, supp, rows)
     return u
 
 
 def _fit_class(
-    table: TableBackedFamily,
+    fam: _Fam,
     supp: Event,
     top: Event,
     rows: _ClassRows | None = None,
@@ -744,8 +706,8 @@ def _fit_class(
     """(measure, utility, diagnostics) for one class, trying in order the
     interior measure, extreme measures, and the joint parametric search."""
     if rows is None:
-        rows = _ClassRows(table, supp)
-    p, msys = measure_from_order(supp.labels, _bet_order(table, supp, top))
+        rows = _ClassRows(fam, supp)
+    p, msys = measure_from_order(supp.labels, _bet_order(fam, supp, top))
     diag = {"measure_rows": len(msys.constraints), "ranking_rows": len(rows.rows)}
     u = rows.fit_utility(p)
     if u is not None:
@@ -775,14 +737,9 @@ def _fit_class_jointly(rows: _ClassRows, msys, p0, diag):
     middle outcome tied to an extreme (or fewer outcomes) the utility is
     already pinned and a single program settles the matter.
     """
-    table = rows.table
-    tiers = _constant_tiers(table, rows.supp)
-    fixed: dict[str, Fraction] = {}
-    for o in tiers[0]:
-        fixed[o] = ONE
-    for o in tiers[-1]:
-        fixed[o] = ZERO
-    free = [o for o in table.outcome_space.outcomes if o not in fixed]
+    tiers = rows.const_tiers
+    fixed = _pinned(tiers)
+    free = [o for o in rows.fam.outcome_space.outcomes if o not in fixed]
     if not free:
         system = rows.measure_system(msys, fixed)
         result = _reduced_solve(system)
@@ -800,7 +757,7 @@ def _fit_class_jointly(rows: _ClassRows, msys, p0, diag):
             cap=1,
         )
     mid = free[0]
-    bounds = rows.middle_bounds(fixed, mid)
+    bounds = rows.middle_bounds(fixed)
     if bounds is None:
         raise Unrepresentable(
             "no middle utility value satisfies the single-state rankings",
@@ -834,7 +791,7 @@ def _fit_class_jointly(rows: _ClassRows, msys, p0, diag):
             key=lambda t: (abs(t - est), t),
         )
         candidates = itertools.chain(
-            (est,), ratios, rows.tie_candidates(p0, fixed, mid), grid
+            (est,), ratios, rows.tie_candidates(p0, fixed), grid
         )
     tried: set[Fraction] = set()
     for t in candidates:
@@ -873,16 +830,7 @@ def _middle_system(rows: _ClassRows, fixed: dict[str, Fraction], mid: str) -> Co
     system = ConstraintSystem((mid,))
     system.add({mid: ONE}, Rel.GT, ZERO)
     system.add({mid: -ONE}, Rel.GT, -ONE)
-    for items, rel in rows.rows:
-        if len({s for (s, _), _ in items}) != 1:
-            continue
-        a = ZERO
-        b = ZERO
-        for (_, o), cnt in items:
-            if o == mid:
-                b += cnt
-            else:
-                a += cnt * fixed[o]
+    for a, b, rel in _on_t(rows.rows, fixed):
         if b or a:
             system.add({mid: b}, rel, -a)
     return system
@@ -922,9 +870,7 @@ def _first_mismatch(expected: TableBackedFamily, produced: TableBackedFamily):
         rank_e = {a: i for i, tier in enumerate(exp) for a in tier}
         rank_g = {a: i for i, tier in enumerate(got) for a in tier}
         for a, b in itertools.combinations(sorted(rank_e), 2):
-            e_sign = (rank_e[a] > rank_e[b]) - (rank_e[a] < rank_e[b])
-            g_sign = (rank_g[a] > rank_g[b]) - (rank_g[a] < rank_g[b])
-            if e_sign != g_sign:
+            if sign(rank_e[a] - rank_e[b]) != sign(rank_g[a] - rank_g[b]):
                 event = None if key is None else Event(expected.space, key)
                 f = Act(expected.space, expected.outcome_space, a)
                 g = Act(expected.space, expected.outcome_space, b)
@@ -938,6 +884,7 @@ def synthesize(
     """Reconstruct a model reproducing the table, or explain why not."""
     reports = _gate(table, PRECHECK_IDS, precheck_budget)
     partition = infer_hierarchy(table, precheck=False)
+    fam = _view(table)
     space = table.space
     outcomes = table.outcome_space.outcomes
 
@@ -952,7 +899,7 @@ def synthesize(
                 witness=(partition.top_events[k - 1], None, None),
             )
         top = partition.top_events[k - 1]
-        p, u, diag = _fit_class(table, supp, top)
+        p, u, diag = _fit_class(fam, supp, top)
         stages[k] = diag
         prob = tuple(p.get(s, ZERO) for s in space.states)
         utility = tuple(u[o] for o in outcomes)

@@ -103,12 +103,16 @@ def test_m0_p6_informational_with_atomic_failures(m0):
 
 
 def test_table_and_model_suites_agree():
-    model = flat2()
-    by_model = check_all(ModelBackedFamily(model), budget=20_000)
-    by_table = check_all(derive_table(model), budget=20_000)
-    for a, b in zip(by_model.reports, by_table.reports):
-        assert a.axiom_id == b.axiom_id
-        assert a.status is b.status
+    import random
+
+    rng = random.Random(4243)
+    cases = [(flat2(), 20_000), (build_m0(), 20_000)]
+    cases += [(random_model(rng, 2, 4), 4_000) for _ in range(6)]
+    for model, budget in cases:
+        by_model = check_all(ModelBackedFamily(model), budget=budget)
+        by_table = check_all(derive_table(model), budget=budget)
+        # the whole report: status, statistics and witnesses
+        assert by_model.reports == by_table.reports
 
 
 def test_random_models_pass():

@@ -82,6 +82,26 @@ def test_non_canonical_rational_exit_2(files, capsys, tmp_path, value):
     assert "prob['s3']" in err
 
 
+@pytest.mark.parametrize(
+    "kind, key, labels",
+    [
+        pytest.param("model", "states", [], id="model-no-states"),
+        pytest.param("model", "outcomes", ["a"], id="model-one-outcome"),
+        pytest.param("model", "states", ["s1", "s1", "s3", "s4"], id="model-duplicate-states"),
+        pytest.param("table", "outcomes", ["a"], id="table-one-outcome"),
+        pytest.param("table", "states", ["s1", "s1", "s3", "s4"], id="table-duplicate-states"),
+    ],
+)
+def test_malformed_labels_exit_2(files, capsys, tmp_path, kind, key, labels):
+    raw = json.loads(open(files[kind]).read())
+    raw[key] = labels
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "validate" if kind == "model" else "synthesize", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_exponent_rational_exit_2_without_hanging(files, tmp_path):
     # Fraction("1e999999999") would build a billion-digit integer; run it in
     # a child so that a regression fails on the timeout instead of hanging
