@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .acts import Act, constant_act, splice
-from .events import Event, enumerate_partitions
+from .events import Event, partition_masks
 from .model import sign
 from .preference import DEGENERATE, Ordering, weakly_preferred
 
@@ -311,10 +311,10 @@ def _eval_p6(fam: _Fam, a: Event, f: Act, g: Act, h: Act) -> bool:
     m, x, y, z = a.mask, f.assignment, g.assignment, h.assignment
     if not _strict(fam.cmp(m, x, y)):
         return True
-    for cells in enumerate_partitions(a):
+    for cells in partition_masks(a.members):
         if all(
-            _strict(fam.cmp(m, x, splice(z, cell.mask, y)))
-            and _strict(fam.cmp(m, splice(z, cell.mask, x), y))
+            _strict(fam.cmp(m, x, splice(z, cell, y)))
+            and _strict(fam.cmp(m, splice(z, cell, x), y))
             for cell in cells
         ):
             return True
@@ -478,20 +478,52 @@ def _check_p4(fam: _Fam, budget: int) -> AxiomReport:
         (x, y) for x in consts for y in consts
         if _strict(fam.cmp(fam.full, x.assignment, y.assignment))
     ]
+    spans, regime = _bet_spans(fam, len(prize_pairs) ** 2, budget)
     failures = []
     count = 0
-    for a in fam.events():
-        for b_mask in _submasks(a.mask):
-            for c_mask in _submasks(a.mask):
-                b, c = Event(fam.space, b_mask), Event(fam.space, c_mask)
-                for f, fp in prize_pairs:
-                    for g, gp in prize_pairs:
-                        count += 1
-                        if not _eval_p4(fam, a, b, c, f, fp, g, gp):
-                            failures.append(
-                                Witness((a, b, c), (f, fp, g, gp), "bet order depends on the prize")
-                            )
-    return _report("P4.5", failures, {"instances": count, "prize_pairs": len(prize_pairs)})
+    for a, b, c in spans:
+        for f, fp in prize_pairs:
+            for g, gp in prize_pairs:
+                count += 1
+                if not _eval_p4(fam, a, b, c, f, fp, g, gp):
+                    failures.append(
+                        Witness((a, b, c), (f, fp, g, gp), "bet order depends on the prize")
+                    )
+    stats = {"instances": count, "prize_pairs": len(prize_pairs)}
+    if regime != "exhaustive":
+        stats["pair_regime"] = regime
+    return _report("P4.5", failures, stats)
+
+
+def _bet_spans(fam: _Fam, weight: int, budget: int):
+    """Event triples (A, B, C), B and C subevents of a nonempty A: all of
+    them when weight times their number fits the budget, otherwise a seeded
+    sample of max(budget // weight, PAIR_SAMPLE_FLOOR) distinct triples."""
+    n = fam.space.size
+    total = 5**n - 1  # each state is off A, or on A and in B, C, both or neither
+    if weight * total <= budget:
+        spans = (
+            (a, Event(fam.space, b), Event(fam.space, c))
+            for a in fam.events()
+            for b in _submasks(a.mask)
+            for c in _submasks(a.mask)
+        )
+        return spans, "exhaustive"
+    quota = min(max(budget // weight, PAIR_SAMPLE_FLOOR), total)
+    rng = random.Random(f"P4.5|{n}")
+    seen: set[tuple[int, int, int]] = set()
+    while len(seen) < quota:
+        a = b = c = 0
+        for i in range(n):
+            r = rng.randrange(5)
+            if r:
+                a |= 1 << i
+                b |= (r & 1) << i
+                c |= (r >> 1 & 1) << i
+        if a:
+            seen.add((a, b, c))
+    spans = [tuple(Event(fam.space, m) for m in t) for t in sorted(seen)]
+    return spans, f"sample({len(spans)})"
 
 
 def _check_p5(fam: _Fam, budget: int) -> AxiomReport:

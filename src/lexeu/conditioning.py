@@ -13,9 +13,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .acts import Act, compose, enumerate_acts
+from .acts import Act, enumerate_acts, splice
 from .errors import CapExceeded, EmptyEvent
-from .events import Event, Partition, bell_number, enumerate_partitions, singleton_partition
+from .events import Event, Partition, bell_number
 from .model import GsleuModel
 from .preference import (
     LexVerdict,
@@ -101,23 +101,29 @@ def strong_conditional_strict(
     # Every comparison below is level by level between two composites, so
     # the kernel's per-level scaling keeps each verdict exact.
     kern = m.kernel
-    fah = compose(f, a, h)
-    gah = compose(g, a, h)
-    v_f = kern.values(fah.assignment)
-    v_g = kern.values(gah.assignment)
+    fah = splice(f.assignment, a.mask, h.assignment)
+    gah = splice(g.assignment, a.mask, h.assignment)
+    v_f = kern.values(fah)
+    v_g = kern.values(gah)
     zero = (0,) * m.depth
-    singles = singleton_partition(a)
+    singles = tuple(1 << i for i in kern.members(a.mask))
 
     budget = a.size if partition_budget is None else min(partition_budget, a.size)
+    verdicts: dict[tuple[int, int], bool] = {}
 
-    def cell_ok(cell: Event, const_idx: int) -> bool:
-        up = kern.delta(cell.mask, const_idx, fah.assignment)
-        if not _lex_strict_with_delta(v_f, v_g, up, zero):
-            return False
-        down = kern.delta(cell.mask, const_idx, gah.assignment)
-        return _lex_strict_with_delta(v_f, v_g, zero, down)
+    def cell_ok(cell: int, const_idx: int) -> bool:
+        key = (cell, const_idx)
+        ok = verdicts.get(key)
+        if ok is None:
+            up = kern.delta(cell, const_idx, fah)
+            ok = _lex_strict_with_delta(v_f, v_g, up, zero)
+            if ok:
+                down = kern.delta(cell, const_idx, gah)
+                ok = _lex_strict_with_delta(v_f, v_g, zero, down)
+            verdicts[key] = ok
+        return ok
 
-    def find_partition(const_idx: int) -> Partition | None:
+    def find_partition(const_idx: int) -> tuple[int, ...] | None:
         if all(cell_ok(cell, const_idx) for cell in singles):
             return singles
         if a.size > 1:
@@ -127,8 +133,8 @@ def strong_conditional_strict(
                     needed=bell_number(a.size),
                     cap=PARTITION_ENUM_CAP,
                 )
-            for part in enumerate_partitions(a, max_blocks=budget):
-                if part == singles:
+            for part in kern.partitions(a.mask):
+                if len(part) > budget or part == singles:
                     continue
                 if all(cell_ok(cell, const_idx) for cell in part):
                     return part
@@ -141,7 +147,7 @@ def strong_conditional_strict(
         found = find_partition(o)
         if found is None:
             return ConditioningVerdict(True, False, label, None)
-        witnesses[label] = found
+        witnesses[label] = tuple(Event(a.space, cell) for cell in found)
         if found != singles:
             coarse.append(label)
     return ConditioningVerdict(True, True, None, witnesses, tuple(coarse))
@@ -226,6 +232,13 @@ def observability_check(
     fineness condition is violated), or anomaly (anything else; expected
     empty).  Only the savage-strict direction of a pair can be strong, so
     the opposite direction is settled cheaply.
+
+    At an event A every verdict reads the two acts on A only: the savage
+    and indexed comparisons and the fineness gap are sums over A's states,
+    and the strong conditional's perturbation cells lie inside A, so the
+    off-A values of fAh and gAh cancel.  Each pair of restrictions to A is
+    therefore classified once, and every act pair with those restrictions
+    reuses the verdicts.
     """
     act_list = list(acts) if acts is not None else list(
         enumerate_acts(m.space, m.outcome_space)
@@ -235,63 +248,71 @@ def observability_check(
         if events is not None
         else [e for e in m.space.all_events() if not e.is_empty]
     )
+    for x in act_list:
+        _check_act(m, x)
+    for ev_ in event_list:
+        _check_event(m, ev_)
     total = equivalent = finefail = anomaly = 0
     strong_count = strong_and_indexed = 0
     cond_total = cond_equiv = 0
     fail_entries: list[ObservabilityEntry] = []
     anomaly_entries: list[ObservabilityEntry] = []
 
-    def record(ev_: Event, x: Act, y: Act, savage_s: bool, indexed_s: bool, strong_s: bool):
-        nonlocal total, equivalent, finefail, anomaly, strong_count
-        nonlocal strong_and_indexed, cond_total, cond_equiv
-        fine = fineness_holds(m, ev_, x, y) if indexed_s else False
-        cls = _classify(indexed_s, strong_s, fine)
-        total += 1
-        if strong_s:
-            strong_count += 1
-            if indexed_s:
-                strong_and_indexed += 1
-        if fine:
-            cond_total += 1
-            if cls is ObsClass.EQUIVALENT:
-                cond_equiv += 1
-        if cls is ObsClass.EQUIVALENT:
-            equivalent += 1
-            return
-        entry = ObservabilityEntry(ev_, x, y, savage_s, indexed_s, strong_s, fine, cls)
-        if cls is ObsClass.FINENESS_FAILURE:
-            finefail += 1
-            fail_entries.append(entry)
-        else:
-            anomaly += 1
-            anomaly_entries.append(entry)
+    def classify(ev_: Event, x: Act, y: Act) -> tuple[tuple, tuple]:
+        """(swapped, savage, indexed, strong, fine, class) for the two
+        ordered instances of the pair, the savage-strict one first and
+        (x, y) first when neither is; swapped marks the instance (y, x)."""
+        savage = savage_conditional(m, ev_, x, y).ordering
+        indexed = indexed_prefer(m, ev_, x, y)
+        out = []
+        first_swapped = savage is Ordering.STRICTLY_DISPREFER
+        for swap in (first_swapped, not first_swapped):
+            p, q = (y, x) if swap else (x, y)
+            win = Ordering.STRICTLY_DISPREFER if swap else Ordering.STRICTLY_PREFER
+            savage_s, indexed_s = savage is win, indexed is win
+            strong_s = savage_s and strong_conditional_strict(
+                m, ev_, p, q, partition_budget=partition_budget
+            ).strong_strict
+            fine = indexed_s and fineness_holds(m, ev_, p, q)
+            cls = _classify(indexed_s, strong_s, fine)
+            out.append((swap, savage_s, indexed_s, strong_s, fine, cls))
+        return tuple(out)
 
     for ev_ in event_list:
+        members = m.kernel.members(ev_.mask)
+        restricted = [tuple(x.assignment[i] for i in members) for x in act_list]
+        memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         for i, x in enumerate(act_list):
-            for y in act_list[i + 1 :]:
-                savage = savage_conditional(m, ev_, x, y)
-                indexed = indexed_prefer(m, ev_, x, y)
-                if savage.ordering is Ordering.INDIFFERENT:
-                    # neither direction can be strong or indexed-strict
-                    record(ev_, x, y, False, indexed is Ordering.STRICTLY_PREFER, False)
-                    record(ev_, y, x, False, indexed is Ordering.STRICTLY_DISPREFER, False)
-                    continue
-                hi, lo = (x, y) if savage.ordering is Ordering.STRICTLY_PREFER else (y, x)
-                hi_indexed = (
-                    indexed is Ordering.STRICTLY_PREFER
-                    if hi is x
-                    else indexed is Ordering.STRICTLY_DISPREFER
-                )
-                lo_indexed = (
-                    indexed is Ordering.STRICTLY_DISPREFER
-                    if hi is x
-                    else indexed is Ordering.STRICTLY_PREFER
-                )
-                verdict = strong_conditional_strict(
-                    m, ev_, hi, lo, partition_budget=partition_budget
-                )
-                record(ev_, hi, lo, True, hi_indexed, verdict.strong_strict)
-                record(ev_, lo, hi, False, lo_indexed, False)
+            rx = restricted[i]
+            for j in range(i + 1, len(act_list)):
+                y = act_list[j]
+                key = (rx, restricted[j])
+                instances = memo.get(key)
+                if instances is None:
+                    instances = memo[key] = classify(ev_, x, y)
+                for swap, savage_s, indexed_s, strong_s, fine, cls in instances:
+                    total += 1
+                    if strong_s:
+                        strong_count += 1
+                        if indexed_s:
+                            strong_and_indexed += 1
+                    if fine:
+                        cond_total += 1
+                        if cls is ObsClass.EQUIVALENT:
+                            cond_equiv += 1
+                    if cls is ObsClass.EQUIVALENT:
+                        equivalent += 1
+                        continue
+                    first, second = (y, x) if swap else (x, y)
+                    entry = ObservabilityEntry(
+                        ev_, first, second, savage_s, indexed_s, strong_s, fine, cls
+                    )
+                    if cls is ObsClass.FINENESS_FAILURE:
+                        finefail += 1
+                        fail_entries.append(entry)
+                    else:
+                        anomaly += 1
+                        anomaly_entries.append(entry)
 
     return ObservabilityReport(
         total,

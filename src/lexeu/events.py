@@ -7,7 +7,7 @@ order (members, powerset, partitions) is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .caps import check_state_count
 from .errors import EmptyEvent, SpaceMismatch, UnknownState
@@ -159,30 +159,38 @@ def enumerate_partitions(a: Event, max_blocks: int | None = None) -> Iterator[Pa
     """
     if a.is_empty:
         raise EmptyEvent("cannot partition the empty event")
-    members = a.members
-    n = len(members)
+    for masks in partition_masks(a.members, max_blocks):
+        yield tuple(Event(a.space, m) for m in masks)
+
+
+def partition_masks(
+    members: Sequence[int], max_blocks: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of the given state indices as tuples of block
+    masks, in enumerate_partitions' order: state i joins each open block
+    in turn, then opens a new one while fewer than max_blocks are open."""
+    bits = [1 << i for i in members]
+    n = len(bits)
     limit = n if max_blocks is None else min(max_blocks, n)
     if limit < 1:
         return
+    blocks = [bits[0]]
 
-    def emit(codes: list[int]) -> Partition:
-        nblocks = max(codes) + 1
-        masks = [0] * nblocks
-        for idx, code in zip(members, codes):
-            masks[code] |= 1 << idx
-        return tuple(Event(a.space, m) for m in masks)
-
-    def rec(i: int, codes: list[int], used: int) -> Iterator[Partition]:
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            yield emit(codes)
+            yield tuple(blocks)
             return
-        top = min(used + 1, limit)
-        for code in range(top):
-            codes.append(code)
-            yield from rec(i + 1, codes, max(used, code + 1))
-            codes.pop()
+        bit = bits[i]
+        for b in range(len(blocks)):
+            blocks[b] |= bit
+            yield from rec(i + 1)
+            blocks[b] ^= bit
+        if len(blocks) < limit:
+            blocks.append(bit)
+            yield from rec(i + 1)
+            blocks.pop()
 
-    yield from rec(1, [0], 1)
+    yield from rec(1)
 
 
 def singleton_partition(a: Event) -> Partition:

@@ -68,6 +68,12 @@ def load_json(path) -> dict:
     return data
 
 
+def _object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    return data
+
+
 def _labels(data: dict, key: str, where: str) -> tuple[str, ...]:
     raw = data.get(key)
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
@@ -86,6 +92,7 @@ def _spaces(states, outcomes, where: str) -> tuple[StateSpace, OutcomeSpace]:
 
 
 def model_from_dict(data: dict, where: str = "model") -> GsleuModel:
+    _object(data, where)
     space, ospace = _spaces(
         _labels(data, "states", where), _labels(data, "outcomes", where), where
     )
@@ -162,7 +169,7 @@ def model_to_dict(m: GsleuModel) -> dict:
 def act_from_dict(
     data: dict, space: StateSpace, ospace: OutcomeSpace, where: str = "act"
 ) -> tuple[str, Act]:
-    mapping = data.get("map")
+    mapping = _object(data, where).get("map")
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: 'map' must be an object of state -> outcome")
     name = data.get("name", "")
@@ -186,9 +193,12 @@ def act_to_dict(name: str, act: Act) -> dict:
 
 def lottery_from_dict(data: dict, ospace: OutcomeSpace, where: str = "lottery") -> Lottery:
     weights = {
-        o: parse_rational(v, f"{where}[{o!r}]") for o, v in data.items()
+        o: parse_rational(v, f"{where}[{o!r}]") for o, v in _object(data, where).items()
     }
-    return normalize_lottery(ospace, weights)
+    try:
+        return normalize_lottery(ospace, weights)
+    except ValueError as exc:  # a negative weight
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def lottery_to_dict(lot: Lottery) -> dict:
@@ -228,7 +238,7 @@ def _tiers_from_raw(raw, names: set[str], where: str) -> Tiers:
 
 
 def table_from_dict(data: dict, where: str = "table") -> TableBackedFamily:
-    raw_acts = data.get("acts")
+    raw_acts = _object(data, where).get("acts")
     if not isinstance(raw_acts, list) or not raw_acts:
         raise ParseError(f"{where}: 'acts' must be a nonempty array")
     for i, raw in enumerate(raw_acts):
@@ -244,8 +254,10 @@ def table_from_dict(data: dict, where: str = "table") -> TableBackedFamily:
         outcomes = _labels(data, "outcomes", where)
     else:
         seen: dict[str, None] = {}
-        for raw in raw_acts:
+        for i, raw in enumerate(raw_acts):
             for o in raw["map"].values():
+                if not isinstance(o, str):
+                    raise ParseError(f"{where}: acts[{i}] maps a state to {o!r}, not a label")
                 seen.setdefault(o, None)
         outcomes = tuple(seen)
     space, ospace = _spaces(states, outcomes, where)

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .events import partition_masks
+
 
 def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Integer multiples of values by the lcm of their denominators."""
@@ -27,7 +29,8 @@ def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 class Kernel:
     """Per level: integer probabilities (full length, zero off the support)
     and integer utilities; per event mask, lazily, the class and the states
-    of the event that carry weight at it (its core)."""
+    of the event that carry weight at it (its core), its members and its
+    partitions."""
 
     def __init__(self, levels) -> None:
         self.support = tuple(lv.support.mask for lv in levels)
@@ -54,11 +57,20 @@ class Kernel:
         self.outcome_order = tuple(sorted(range(len(u)), key=lambda o: (-u[o], o)))
         self._members: dict[int, tuple[int, ...]] = {}
         self._events: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._partitions: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def members(self, mask: int) -> tuple[int, ...]:
         got = self._members.get(mask)
         if got is None:
             got = self._members[mask] = tuple(i for i in range(self.size) if mask >> i & 1)
+        return got
+
+    def partitions(self, mask: int) -> tuple[tuple[int, ...], ...]:
+        """Every partition of the event as block masks, in
+        enumerate_partitions' order."""
+        got = self._partitions.get(mask)
+        if got is None:
+            got = self._partitions[mask] = tuple(partition_masks(self.members(mask)))
         return got
 
     def event(self, mask: int) -> tuple[int, tuple[int, ...]]:

@@ -133,9 +133,11 @@ def random_model(
     n_max: int = 6,
     n_outcomes: int = 3,
     k_max: int = 4,
+    shared_order: bool = True,
 ) -> GsleuModel:
     """A seeded valid model: random level partition, positive rational
-    probabilities, and utilities sharing one strict outcome order."""
+    probabilities, and utilities sharing one strict outcome order (each
+    level drawing its own order when shared_order is False)."""
     n = rng.randint(n_min, n_max)
     space = StateSpace(tuple(f"s{i + 1}" for i in range(n)))
     ospace = OutcomeSpace(tuple("abcdefgh"[:n_outcomes]))
@@ -150,6 +152,8 @@ def random_model(
 
     levels = []
     for block in blocks:
+        if not shared_order:
+            rng.shuffle(outcome_rank)
         weights = {i: rng.randint(1, 9) for i in block}
         total = sum(weights.values())
         prob = tuple(

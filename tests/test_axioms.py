@@ -9,6 +9,8 @@ from conftest import build_m0, random_model
 from lexeu.acts import OutcomeSpace
 from lexeu.axioms import (
     AXIOM_IDS,
+    PAIR_SAMPLE_FLOOR,
+    AxiomReport,
     AxiomStatus,
     check_all,
     check_axiom,
@@ -100,6 +102,21 @@ def test_m0_p6_informational_with_atomic_failures(m0):
     assert report.statistics["failures"] > 0
     witness = report.witnesses[0]
     assert replay_witness(fam, "P6.5", witness) is False
+
+
+def test_p4_honours_its_budget(m0):
+    import random
+
+    model = random_model(random.Random(11), 6, 6)
+    report = check_axiom(ModelBackedFamily(model), "P4.5", budget=1000)
+    assert report.status is AxiomStatus.HOLDS
+    assert report.statistics["pair_regime"].startswith("sample(")
+    weight = report.statistics["prize_pairs"] ** 2
+    assert 0 < report.statistics["instances"] <= max(1000, weight * PAIR_SAMPLE_FLOOR)
+    # exhaustive while every instance fits the budget, as before
+    assert check_axiom(ModelBackedFamily(m0), "P4.5") == AxiomReport(
+        "P4.5", AxiomStatus.HOLDS, (), {"instances": 5616, "prize_pairs": 3}
+    )
 
 
 def test_table_and_model_suites_agree():

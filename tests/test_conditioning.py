@@ -6,16 +6,19 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import act_of, build_m0, coprime_affine_model, ev, random_model
-from lexeu.acts import compose, enumerate_acts
+from lexeu.acts import Act, compose, constant_act, enumerate_acts
 from lexeu.conditioning import (
     ConditioningVerdict,
     ObsClass,
+    ObservabilityEntry,
+    ObservabilityReport,
     fineness_holds,
     observability_check,
     savage_conditional,
     strong_conditional_strict,
 )
-from lexeu.events import Event, singleton_partition
+from lexeu.errors import SpaceMismatch
+from lexeu.events import Event, StateSpace, enumerate_partitions, singleton_partition
 from lexeu.model import class_of, conditional_measure
 from lexeu.preference import (
     LexVerdict,
@@ -190,3 +193,166 @@ def test_observability_fine_model_all_condition_instances_equivalent():
     report = observability_check(m, acts=sample)
     assert report.ok
     assert report.condition_equivalent == report.condition_instances
+
+
+# -- the census and the partition search against per-instance references --
+
+
+def _census_reference(m, acts, events, partition_budget=None):
+    """observability_check as a loop over ordered instances that calls the
+    public verdicts for each one: the savage-strict direction of a pair
+    first (x before y when neither is), classified by the documented rule."""
+    counts = dict.fromkeys(
+        ("total", "equivalent", "finefail", "anomaly", "strong", "strong_indexed",
+         "cond", "cond_equiv"),
+        0,
+    )
+    fails, anomalies = [], []
+    for a in events:
+        for i, x in enumerate(acts):
+            for y in acts[i + 1 :]:
+                order = [(x, y), (y, x)]
+                if savage_conditional(m, a, x, y).ordering is Ordering.STRICTLY_DISPREFER:
+                    order.reverse()
+                for p, q in order:
+                    savage = savage_conditional(m, a, p, q).ordering is Ordering.STRICTLY_PREFER
+                    indexed = indexed_prefer(m, a, p, q) is Ordering.STRICTLY_PREFER
+                    strong = savage and strong_conditional_strict(
+                        m, a, p, q, partition_budget=partition_budget
+                    ).strong_strict
+                    fine = indexed and fineness_holds(m, a, p, q)
+                    if strong == indexed:
+                        cls = ObsClass.EQUIVALENT
+                    elif indexed and not fine:
+                        cls = ObsClass.FINENESS_FAILURE
+                    else:
+                        cls = ObsClass.ANOMALY
+                    counts["total"] += 1
+                    counts["strong"] += strong
+                    counts["strong_indexed"] += strong and indexed
+                    counts["cond"] += fine
+                    counts["cond_equiv"] += fine and cls is ObsClass.EQUIVALENT
+                    entry = ObservabilityEntry(a, p, q, savage, indexed, strong, fine, cls)
+                    if cls is ObsClass.EQUIVALENT:
+                        counts["equivalent"] += 1
+                    elif cls is ObsClass.FINENESS_FAILURE:
+                        counts["finefail"] += 1
+                        fails.append(entry)
+                    else:
+                        counts["anomaly"] += 1
+                        anomalies.append(entry)
+    return ObservabilityReport(*counts.values(), tuple(fails), tuple(anomalies))
+
+
+def test_census_matches_per_instance_reference():
+    # the census classifies each pair of restrictions to an event once;
+    # the reference classifies every ordered instance on its own
+    rng = random.Random(5959)
+    m0_acts = list(enumerate_acts(M0.space, M0.outcome_space))
+    cases = [(M0, rng.sample(m0_acts, 8), None) for _ in range(3)]
+    coprime = coprime_affine_model()
+    cases.append(
+        (coprime, rng.sample(list(enumerate_acts(coprime.space, coprime.outcome_space)), 10), None)
+    )
+    for m in [random_model(rng, 2, 4) for _ in range(6)] + _mixed_order_models()[:3]:
+        acts = list(enumerate_acts(m.space, m.outcome_space))
+        cases.append((m, acts if len(acts) <= 27 else rng.sample(acts, 12), None))
+    # a repeated act, the empty event and a partition budget
+    acts = rng.sample(m0_acts, 6)
+    cases.append((M0, acts + acts[:2], list(M0.space.all_events())))
+    for m, acts, events in cases:
+        event_list = events or [e for e in m.space.all_events() if not e.is_empty]
+        for budget in (None, 2):
+            expected = _census_reference(m, acts, event_list, budget)
+            got = observability_check(m, acts=acts, events=events, partition_budget=budget)
+            assert got == expected
+    assert expected.fineness_failures and expected.strong_count  # both branches exercised
+
+
+def test_census_rejects_a_foreign_act_or_event():
+    # the foreign act has the same assignment as x, and x's pairs with x
+    # and with c come first in both orders, so every pair holding the
+    # foreign act finds its restrictions already classified
+    other = StateSpace(("t1", "t2", "t3", "t4"))
+    x = act_of(M0, "a", "b", "c", "a")
+    c = act_of(M0, "c", "c", "c", "c")
+    foreign = Act(other, M0.outcome_space, x.assignment)
+    with pytest.raises(SpaceMismatch):
+        observability_check(M0, acts=[x, x, c, x, foreign])
+    with pytest.raises(SpaceMismatch):
+        observability_check(M0, acts=[x, f], events=[ev(M0, "s1"), other.full])
+
+
+def _beats(m, x, y) -> bool:
+    return lex_prefer(m, x, y).ordering is Ordering.STRICTLY_PREFER
+
+
+def _strong_reference(m, a, x, y, h, budget):
+    """The strong conditional by definition: per constant, best first under
+    level 1, the first partition (singletons, then enumerate_partitions'
+    order) on every cell of which both perturbed composites still lose,
+    judged by unconditional lex_prefer."""
+    if savage_conditional(m, a, x, y).ordering is not Ordering.STRICTLY_PREFER:
+        return ConditioningVerdict(False, False, None, None)
+    fah, gah = compose(x, a, h), compose(y, a, h)
+    singles = singleton_partition(a)
+    limit = a.size if budget is None else min(budget, a.size)
+    candidates = [singles] + [
+        p for p in enumerate_partitions(a, max_blocks=limit) if p != singles
+    ]
+    utility = m.levels[0].utility
+    witnesses, coarse = {}, []
+    for o in sorted(range(m.outcome_space.size), key=lambda o: (-utility[o], o)):
+        label = m.outcome_space.outcomes[o]
+        k = constant_act(label, m.space, m.outcome_space)
+        found = next(
+            (
+                part
+                for part in candidates
+                if all(
+                    _beats(m, compose(k, cell, fah), gah) and _beats(m, fah, compose(k, cell, gah))
+                    for cell in part
+                )
+            ),
+            None,
+        )
+        if found is None:
+            return ConditioningVerdict(True, False, label, None)
+        witnesses[label] = found
+        if found != singles:
+            coarse.append(label)
+    return ConditioningVerdict(True, True, None, witnesses, tuple(coarse))
+
+
+def _mixed_order_models():
+    """Four-state models whose two levels order the outcomes differently:
+    only there can a strong verdict carry a coarse witness."""
+    rng = random.Random(6363)
+    return [random_model(rng, 4, 4, k_max=2, shared_order=False) for _ in range(4)]
+
+
+def test_strong_witnesses_match_partition_search_by_definition():
+    rng = random.Random(6161)
+    strong = coarse = 0
+    for m in _differential_models() + _mixed_order_models():
+        acts = list(enumerate_acts(m.space, m.outcome_space))
+        draws = []
+        for _ in range(1500):
+            a = Event(m.space, rng.randrange(1, 1 << m.space.size))
+            x, y, h = rng.choice(acts), rng.choice(acts), rng.choice(acts)
+            if savage_conditional(m, a, x, y).ordering is Ordering.STRICTLY_DISPREFER:
+                x, y = y, x
+            draws.append((a, x, y, h))
+        # the first 40 draws, and the first few later ones with a coarse
+        # witness, which are rare
+        draws = draws[:40] + [
+            d for d in draws[40:] if strong_conditional_strict(m, *d).coarse_constants
+        ][:4]
+        for a, x, y, h in draws:
+            for budget in (None, rng.randrange(0, 4)):
+                expected = _strong_reference(m, a, x, y, h, budget)
+                got = strong_conditional_strict(m, a, x, y, h=h, partition_budget=budget)
+                assert got == expected
+                strong += got.strong_strict
+                coarse += bool(got.coarse_constants)
+    assert strong > 20 and coarse > 5  # coarse witnesses are exercised

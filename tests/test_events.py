@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from lexeu.events import (
     StateSpace,
     bell_number,
     enumerate_partitions,
+    partition_masks,
     set_op,
     singleton_partition,
 )
@@ -112,3 +115,36 @@ def test_singleton_partition():
         singleton_partition(S4.empty)
     with pytest.raises(EmptyEvent):
         list(enumerate_partitions(S4.empty))
+
+
+def _restricted_growth_masks(members, max_blocks):
+    """Partitions as block masks from restricted-growth strings, taken
+    lexicographically from every code string."""
+    n = len(members)
+    limit = n if max_blocks is None else max_blocks
+    out = []
+    for tail in itertools.product(range(n), repeat=n - 1):
+        codes = (0,) + tail
+        if any(c > max(codes[:i]) + 1 for i, c in enumerate(codes) if i):
+            continue
+        if max(codes) + 1 > limit:
+            continue
+        blocks = [0] * (max(codes) + 1)
+        for state, code in zip(members, codes):
+            blocks[code] |= 1 << state
+        out.append(tuple(blocks))
+    return out
+
+
+def test_partition_masks_follow_restricted_growth_order():
+    space = StateSpace(tuple(f"x{i}" for i in range(8)))
+    for n in range(1, 7):
+        # low states, high states, and (up to four) every other state
+        for members in (tuple(range(n)), tuple(range(8 - n, 8)), tuple(range(0, 8, 2))[:n]):
+            a = Event(space, sum(1 << i for i in members))
+            for max_blocks in (None, *range(0, len(members) + 2)):
+                expected = _restricted_growth_masks(members, max_blocks)
+                assert list(partition_masks(members, max_blocks)) == expected
+                assert [
+                    tuple(b.mask for b in p) for p in enumerate_partitions(a, max_blocks)
+                ] == expected

@@ -1,14 +1,16 @@
 """File-format round trips and the error messages bad files produce."""
+import copy
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_m0, random_model
 from lexeu import io
 from lexeu.acts import Act, OutcomeSpace
-from lexeu.errors import NotNormalized, ParseError, ValidationError
+from lexeu.errors import LexeuError, NotNormalized, ParseError, ValidationError
 from lexeu.events import StateSpace
 from lexeu.family import derive_table
 from lexeu.synthesis import synthesize
@@ -216,3 +218,88 @@ def test_event_keys():
     assert io.event_from_key(space, "s3,s1").labels == ("s1", "s3")
     with pytest.raises(ParseError, match="s7"):
         io.event_from_key(space, "s7")
+
+
+# -- any JSON value parses or raises a LexeuError ---------------------------
+
+_WORDS = ("states", "outcomes", "levels", "support", "prob", "utility", "acts",
+          "map", "name", "prefs", "unconditional", "degenerate", "s1", "s2", "a", "b", "1/2")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _near(draw, valid):
+    """A valid document with one value, anywhere in it (the document itself
+    included), replaced by any JSON value."""
+    replacement = draw(_JSON)
+    path = draw(st.sampled_from(list(_paths(valid))))
+    if not path:
+        return replacement
+    data = copy.deepcopy(valid)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = replacement
+    return data
+
+
+_M0 = build_m0()
+_PARSERS = {
+    "model": (io.model_from_dict, io.model_to_dict(_M0)),
+    "table": (io.table_from_dict, io.table_to_dict(derive_table(flat2()))),
+    "act": (
+        lambda data: io.act_from_dict(data, _M0.space, _M0.outcome_space),
+        io.act_to_dict("f", Act(_M0.space, _M0.outcome_space, (0, 1, 2, 0))),
+    ),
+    "lottery": (
+        lambda data: io.lottery_from_dict(data, _M0.outcome_space),
+        {"a": "1/2", "b": "1/4", "c": "1/4"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+def test_any_json_value_parses_or_raises_lexeu_error(kind):
+    parse, valid = _PARSERS[kind]
+    parse(valid)
+
+    @settings(max_examples=150, deadline=2000, database=None, derandomize=True)
+    @given(_near(valid))
+    def check(data):
+        try:
+            parse(data)
+        except LexeuError:
+            pass
+
+    check()
+
+
+def test_non_object_documents_are_parse_errors():
+    for value in ([], "model", None, 3):
+        for parse in (io.model_from_dict, io.table_from_dict):
+            with pytest.raises(ParseError, match="object"):
+                parse(value)
+    # outcomes inferred from the acts must be labels (a list is unhashable)
+    raw = {"acts": [{"name": "f", "map": {"s1": ["a"], "s2": "b"}}], "prefs": {}}
+    with pytest.raises(ParseError, match="not a label"):
+        io.table_from_dict(raw)
+    with pytest.raises(ParseError, match="negative weight"):
+        io.lottery_from_dict({"a": -1, "b": "1"}, OutcomeSpace(("a", "b")))
