@@ -145,12 +145,9 @@ class _Fam:
 
     # -- quantifier universes -------------------------------------------
 
-    def events(self, nonempty: bool = True) -> list[Event]:
-        return [
-            ev
-            for ev in self.space.all_events()
-            if not (nonempty and ev.is_empty)
-        ]
+    def events(self) -> list[Event]:
+        """The nonempty events in mask order."""
+        return [ev for ev in self.space.all_events() if not ev.is_empty]
 
     def pair_universe(self, axiom_id: str, outer: int, budget: int,
                       weight: int = 1) -> tuple[list[tuple[Act, Act]], str]:

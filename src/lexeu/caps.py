@@ -2,7 +2,8 @@
 
 Full enumeration of acts (m^n) and of the event powerset (2^n) is central to
 the exhaustive checks, so both are guarded.  The act cap can be overridden
-with the LEXEU_CAP environment variable; callers may also pass explicit caps.
+with the LEXEU_CAP environment variable, or by an explicit cap passed to
+enumerate_acts.
 """
 from __future__ import annotations
 
@@ -37,11 +38,10 @@ def check_act_count(count: int, cap: int | None = None) -> None:
         )
 
 
-def check_state_count(n: int, cap: int | None = None) -> None:
-    limit = DEFAULT_STATE_CAP if cap is None else cap
-    if n > limit:
+def check_state_count(n: int) -> None:
+    if n > DEFAULT_STATE_CAP:
         raise CapExceeded(
-            f"powerset enumeration over {n} states exceeds cap {limit}",
+            f"powerset enumeration over {n} states exceeds cap {DEFAULT_STATE_CAP}",
             needed=n,
-            cap=limit,
+            cap=DEFAULT_STATE_CAP,
         )

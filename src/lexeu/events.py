@@ -56,9 +56,9 @@ class StateSpace:
     def singleton(self, label: str) -> "Event":
         return Event(self, 1 << self.index(label))
 
-    def all_events(self, cap: int | None = None) -> Iterator["Event"]:
+    def all_events(self) -> Iterator["Event"]:
         """Yield the full powerset in mask order (empty event first)."""
-        check_state_count(self.size, cap)
+        check_state_count(self.size)
         for mask in range(1 << self.size):
             yield Event(self, mask)
 
@@ -100,10 +100,6 @@ class Event:
         self._check(other)
         return self.mask & ~other.mask == 0
 
-    def isdisjoint(self, other: "Event") -> bool:
-        self._check(other)
-        return self.mask & other.mask == 0
-
     # -- inspection ----------------------------------------------------
     @property
     def is_empty(self) -> bool:
@@ -127,23 +123,6 @@ class Event:
 
     def __repr__(self) -> str:
         return f"Event({{{', '.join(self.labels)}}})"
-
-
-def set_op(op: str, a: Event, b: Event | None = None) -> Event:
-    """Named dispatch over the event algebra (used by tooling)."""
-    if op == "complement":
-        return a.complement()
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two events")
-    ops = {
-        "union": Event.__or__,
-        "intersection": Event.__and__,
-        "difference": Event.__sub__,
-        "symmetric_difference": Event.__xor__,
-    }
-    if op not in ops:
-        raise ValueError(f"unknown set operation {op!r}")
-    return ops[op](a, b)
 
 
 Partition = tuple[Event, ...]

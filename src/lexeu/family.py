@@ -15,7 +15,6 @@ event), `uncond_key` (the same for the unconditional ranking) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .acts import Act, OutcomeSpace, enumerate_acts
 from .errors import IncompleteTable, SpaceMismatch, ValidationError
@@ -30,10 +29,6 @@ from .preference import (
 )
 
 Tiers = tuple[tuple[str, ...], ...]
-
-
-def _flatten(tiers: Sequence[Sequence[str]]) -> list[str]:
-    return [name for tier in tiers for name in tier]
 
 
 @dataclass(eq=False)
@@ -194,8 +189,8 @@ class ModelBackedFamily:
     def outcome_space(self) -> OutcomeSpace:
         return self.model.outcome_space
 
-    def act_items(self, cap: int | None = None) -> list[tuple[str, Act]]:
-        return [(f"f{i}", act) for i, act in enumerate(enumerate_acts(self.space, self.outcome_space, cap))]
+    def act_items(self) -> list[tuple[str, Act]]:
+        return [(f"f{i}", act) for i, act in enumerate(enumerate_acts(self.space, self.outcome_space))]
 
     def prefer_at(self, a: Event, f: Act, g: Act):
         return indexed_prefer(self.model, a, f, g)
@@ -222,11 +217,7 @@ class ModelBackedFamily:
 PreferenceFamily = ModelBackedFamily | TableBackedFamily
 
 
-def _event_key_masks(space: StateSpace) -> Iterator[int]:
-    yield from range(1, space.full.mask + 1)
-
-
-def derive_table(m: GsleuModel, cap: int | None = None) -> TableBackedFamily:
+def derive_table(m: GsleuModel) -> TableBackedFamily:
     """Tabulate every ranking a model induces over the full act universe.
 
     Act names are f0, f1, ... in enumeration order.  Rankings sort by
@@ -235,10 +226,10 @@ def derive_table(m: GsleuModel, cap: int | None = None) -> TableBackedFamily:
     score at one event, and every entry of one level, carries the same
     positive factor, so the order is the exact one.
     """
-    named = [(f"f{i}", act) for i, act in enumerate(enumerate_acts(m.space, m.outcome_space, cap))]
+    named = [(f"f{i}", act) for i, act in enumerate(enumerate_acts(m.space, m.outcome_space))]
     kern = m.kernel
     tiers: dict[int, Tiers] = {}
-    for mask in _event_key_masks(m.space):
+    for mask in range(1, m.space.full.mask + 1):
         tiers[mask] = _group_desc(
             [(kern.score(mask, act.assignment), name) for name, act in named]
         )

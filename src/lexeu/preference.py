@@ -312,10 +312,10 @@ class ClassPartition:
         return tuple(out)
 
 
-def class_partition(m: GsleuModel, cap: int | None = None) -> ClassPartition:
+def class_partition(m: GsleuModel) -> ClassPartition:
     """Group the whole powerset by class (the empty event is left out)."""
     groups: list[list[Event]] = [[] for _ in range(m.depth)]
-    for ev in m.space.all_events(cap):
+    for ev in m.space.all_events():
         k = class_of(m, ev)
         if k is not None:
             groups[k - 1].append(ev)

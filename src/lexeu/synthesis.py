@@ -82,9 +82,7 @@ def _gate(table: TableBackedFamily, ids: Sequence[str], budget: int) -> dict[str
 # -- stage 1: hierarchy ------------------------------------------------------
 
 
-def infer_hierarchy(
-    table: TableBackedFamily, *, budget: int = PRECHECK_BUDGET, precheck: bool = True
-) -> ClassPartition:
+def infer_hierarchy(table: TableBackedFamily, *, precheck: bool = True) -> ClassPartition:
     """Group the nonempty events into classes ordered by relative nullity.
 
     Nullity is read straight off the table: B is null at A when the
@@ -94,7 +92,7 @@ def infer_hierarchy(
     most probable down.
     """
     if precheck:
-        _gate(table, HIERARCHY_IDS, budget)
+        _gate(table, HIERARCHY_IDS, PRECHECK_BUDGET)
     space = table.space
     fam = _Fam(table)
     groups: list[list[int]] = []
@@ -235,6 +233,16 @@ def _canonical_row(coeffs: dict, rel: Rel):
     return tuple((v, c / scale) for v, c in items), rel
 
 
+def _subtract(out: dict[str, Fraction], k: Fraction, row: dict[str, Fraction]) -> None:
+    """out -= k * row in place, dropping the entries that cancel."""
+    for v, q in row.items():
+        left = out.get(v, ZERO) - k * q
+        if left:
+            out[v] = left
+        else:
+            out.pop(v, None)
+
+
 def _compact(system: ConstraintSystem) -> ConstraintSystem | None:
     """Equivalent system with redundant rows removed, or None when the
     rows already contradict each other.
@@ -266,12 +274,7 @@ def _compact(system: ConstraintSystem) -> ConstraintSystem | None:
             if pivot in basis and out.get(pivot):
                 row, b = basis[pivot]
                 k = out[pivot]
-                for v, q in row.items():
-                    left = out.get(v, ZERO) - k * q
-                    if left:
-                        out[v] = left
-                    else:
-                        out.pop(v, None)
+                _subtract(out, k, row)
                 rhs = rhs - k * b
         return out, rhs
 
@@ -289,12 +292,7 @@ def _compact(system: ConstraintSystem) -> ConstraintSystem | None:
             if pivot in pc:
                 kk = pc[pivot]
                 nc = dict(pc)
-                for v, q in row.items():
-                    left = nc.get(v, ZERO) - kk * q
-                    if left:
-                        nc[v] = left
-                    else:
-                        nc.pop(v, None)
+                _subtract(nc, kk, row)
                 basis[pv] = (nc, pb - kk * rb)
         basis[pivot] = (row, rb)
 
@@ -399,7 +397,7 @@ def _on_t(rows, fixed: dict[str, Fraction], p: dict[str, Fraction] | None = None
 def _t_bounds(folded) -> tuple[Fraction, Fraction, Fraction | None] | None:
     """What folded rows say about t: (low, high, pinned-or-None), with t
     strictly between low (at least 0) and high (at most 1), and equal to
-    pinned when that is set; None when some rows already conflict."""
+    pinned when that is set; None when the rows leave t no value."""
     lo, hi = ZERO, ONE
     pinned: Fraction | None = None
     for a, b, rel in folded:
@@ -419,6 +417,8 @@ def _t_bounds(folded) -> tuple[Fraction, Fraction, Fraction | None] | None:
             lo = max(lo, -a / b)
         else:
             hi = min(hi, -a / b)
+    if lo >= hi or (pinned is not None and not lo < pinned < hi):
+        return None
     return lo, hi, pinned
 
 
@@ -503,16 +503,31 @@ class _ClassRows:
         if bounds is None:
             return None
         lo, hi, pinned = bounds
-        if pinned is not None:
-            if not lo < pinned < hi:
-                return None
-            t = pinned
-        elif lo < hi:
-            t = (lo + hi) / 2
-        else:
-            return None  # the rows leave the middle utility no room
+        t = (lo + hi) / 2 if pinned is None else pinned
         mids = tiers[1] if len(tiers) == 3 else []
         return {**fixed, **{o: t for o in mids}}
+
+    def _instantiate(
+        self, system: ConstraintSystem, term, small_only: bool = False
+    ) -> ConstraintSystem:
+        """Add every ranking row to system as a linear row, each entry
+        contributing the (variable, coefficient) pair term(state, outcome,
+        count) gives; rows equal up to scale go in once, rows reading
+        0 = 0 not at all.  With small_only, rows touching more than two
+        states are left out."""
+        seen: set = set()
+        for items, rel in self.rows:
+            if small_only and len({s for (s, _), _ in items}) > 2:
+                continue
+            coeffs: dict[str, Fraction] = {}
+            for (s, o), cnt in items:
+                v, c = term(s, o, cnt)
+                coeffs[v] = coeffs.get(v, ZERO) + c
+            row = _canonical_row(coeffs, rel)
+            if row is not None and row not in seen:
+                seen.add(row)
+                system.add(dict(row[0]), rel, ZERO)
+        return system
 
     def utility_system(self, p: dict[str, Fraction]) -> ConstraintSystem:
         """Linear system for u at measure p, normalized so the best
@@ -528,16 +543,7 @@ class _ClassRows:
             for group in (hi, lo):
                 for other in group[1:]:
                     system.add({group[0]: ONE, other: -ONE}, Rel.EQ, ZERO)
-        seen: set = set()
-        for items, rel in self.rows:
-            coeffs: dict[str, Fraction] = {}
-            for (s, o), cnt in items:
-                coeffs[o] = coeffs.get(o, ZERO) + cnt * p[s]
-            row = _canonical_row(coeffs, rel)
-            if row is not None and row not in seen:
-                seen.add(row)
-                system.add(dict(row[0]), rel, ZERO)
-        return system
+        return self._instantiate(system, lambda s, o, cnt: (o, cnt * p[s]))
 
     def measure_system(
         self,
@@ -546,34 +552,17 @@ class _ClassRows:
         *,
         small_only: bool = False,
     ) -> ConstraintSystem:
-        """Linear system for p at a fixed utility, on top of the bet rows.
+        """Linear system for p at a fixed utility, on top of the bet rows
+        (which measure_from_order starts with the simplex rows).
 
         With small_only, only rows touching at most two states go in — a
         relaxation that solves much faster; check the result against all
         rows with satisfied() and fall back to the full system if needed.
         """
-        labels = self.supp.labels
-        system = ConstraintSystem(tuple(labels))
-        system.add({a: ONE for a in labels}, Rel.EQ, ONE)
-        for a in labels:
-            system.add({a: ONE}, Rel.GT, ZERO)
-        for c in msys.constraints:
-            if c.coeffs:
-                system.add(c.coeffs, c.rel, c.rhs)
-        seen: set = set()
-        for items, rel in self.rows:
-            if small_only and len({s for (s, _), _ in items}) > 2:
-                continue
-            coeffs: dict[str, Fraction] = {}
-            for (s, o), cnt in items:
-                delta = cnt * utility[o]
-                if delta:
-                    coeffs[s] = coeffs.get(s, ZERO) + delta
-            row = _canonical_row(coeffs, rel)
-            if row is not None and row not in seen:
-                seen.add(row)
-                system.add(dict(row[0]), rel, ZERO)
-        return system
+        system = ConstraintSystem(msys.variables, list(msys.constraints))
+        return self._instantiate(
+            system, lambda s, o, cnt: (s, cnt * utility[o]), small_only
+        )
 
     def satisfied(self, p: dict[str, Fraction], utility: dict[str, Fraction]) -> bool:
         """Whether (p, utility) reproduces every stored ranking row."""
@@ -587,21 +576,6 @@ class _ClassRows:
             elif val != 0:
                 return False
         return True
-
-    def middle_bounds(
-        self, fixed: dict[str, Fraction]
-    ) -> tuple[Fraction, Fraction, Fraction | None] | None:
-        """What single-state rows alone say about the middle utility:
-        (low, high, pinned-or-None), or None when they already conflict.
-        These bounds hold for every measure, since a lone positive
-        probability factors out of its row."""
-        bounds = _t_bounds(_on_t(self.rows, fixed))
-        if bounds is None:
-            return None
-        lo, hi, pinned = bounds
-        if lo >= hi or (pinned is not None and not lo < pinned < hi):
-            return None
-        return bounds
 
     def relaxation(
         self, msys: ConstraintSystem, fixed: dict[str, Fraction], mid: str
@@ -619,19 +593,10 @@ class _ClassRows:
         for c in msys.constraints:
             if c.coeffs:
                 system.add(c.coeffs, c.rel, c.rhs)
-        seen: set = set()
-        for items, rel in self.rows:
-            coeffs: dict[str, Fraction] = {}
-            for (s, o), cnt in items:
-                if o == mid:
-                    coeffs[q_of[s]] = coeffs.get(q_of[s], ZERO) + cnt
-                elif fixed[o]:
-                    coeffs[s] = coeffs.get(s, ZERO) + cnt * fixed[o]
-            row = _canonical_row(coeffs, rel)
-            if row is not None and row not in seen:
-                seen.add(row)
-                system.add(dict(row[0]), rel, ZERO)
-        return system
+        return self._instantiate(
+            system,
+            lambda s, o, cnt: (q_of[s], cnt) if o == mid else (s, cnt * fixed[o]),
+        )
 
     def tie_candidates(
         self, p0: dict[str, Fraction], fixed: dict[str, Fraction]
@@ -757,13 +722,16 @@ def _fit_class_jointly(rows: _ClassRows, msys, p0, diag):
             cap=1,
         )
     mid = free[0]
-    bounds = rows.middle_bounds(fixed)
+    # single-state rows bound t for every measure, since a lone positive
+    # probability factors out of its row; a tie among them would pin t to
+    # 0 or 1, never strictly between, so surviving bounds leave t free
+    bounds = _t_bounds(_on_t(rows.rows, fixed))
     if bounds is None:
         raise Unrepresentable(
             "no middle utility value satisfies the single-state rankings",
             certificate=_middle_system(rows, fixed, mid),
         )
-    lo, hi, pinned = bounds
+    lo, hi, _ = bounds
     relaxation = rows.relaxation(msys, fixed, mid)
     relaxed = _reduced_solve(relaxation)
     if not relaxed.feasible:
@@ -771,28 +739,23 @@ def _fit_class_jointly(rows: _ClassRows, msys, p0, diag):
             "no measure/utility pair fits the table", certificate=relaxation
         )
     labels = rows.supp.labels
-    if pinned is not None:
-        candidates: Iterable[Fraction] = (pinned,)
-    else:
-        # most promising first: the relaxation point's aggregate
-        # utility-to-mass ratio and its per-state ratios (exact whenever
-        # the relaxed optimum already uses one t throughout), then exact
-        # tie solutions, then a denominator-capped grid ordered by
-        # distance from the aggregate ratio
-        got = relaxed.assignment
-        est = sum(got[f"t*{s}"] for s in labels) / sum(got[s] for s in labels)
-        ratios = sorted({got[f"t*{s}"] / got[s] for s in labels})
-        grid = sorted(
-            {
-                Fraction(num, den)
-                for den in range(2, T_DENOMINATOR_CAP + 1)
-                for num in range(1, den)
-            },
-            key=lambda t: (abs(t - est), t),
-        )
-        candidates = itertools.chain(
-            (est,), ratios, rows.tie_candidates(p0, fixed), grid
-        )
+    # most promising first: the relaxation point's aggregate
+    # utility-to-mass ratio and its per-state ratios (exact whenever the
+    # relaxed optimum already uses one t throughout), then exact tie
+    # solutions, then a denominator-capped grid ordered by distance from
+    # the aggregate ratio
+    got = relaxed.assignment
+    est = sum(got[f"t*{s}"] for s in labels) / sum(got[s] for s in labels)
+    ratios = sorted({got[f"t*{s}"] / got[s] for s in labels})
+    grid = sorted(
+        {
+            Fraction(num, den)
+            for den in range(2, T_DENOMINATOR_CAP + 1)
+            for num in range(1, den)
+        },
+        key=lambda t: (abs(t - est), t),
+    )
+    candidates = itertools.chain((est,), ratios, rows.tie_candidates(p0, fixed), grid)
     tried: set[Fraction] = set()
     for t in candidates:
         if t in tried or not lo < t < hi:
@@ -810,13 +773,6 @@ def _fit_class_jointly(rows: _ClassRows, msys, p0, diag):
             measure = {a: result.assignment[a] for a in labels}
         diag["strategy"] = f"parametric(t={t})"
         return measure, u_t, diag
-    if pinned is not None:
-        # the single-state ties force this one value, so its failure is
-        # a failure of every normalized model
-        raise Unrepresentable(
-            "the forced middle utility admits no compatible measure",
-            certificate=rows.measure_system(msys, {**fixed, mid: pinned}),
-        )
     raise CapExceeded(
         "utility parameter scan exhausted without a fit",
         needed=len(tried) + 1,
@@ -922,7 +878,7 @@ def synthesize(
     mismatch = _first_mismatch(table, derive_table(model))
     if mismatch is not None:
         event, _, _ = mismatch
-        where = "unconditionally" if event is None else f"at {set(event.labels)}"
+        where = "unconditionally" if event is None else f"at {{{', '.join(event.labels)}}}"
         raise VerificationFailed(
             f"synthesized model ranks an act pair differently {where}",
             witness=mismatch,

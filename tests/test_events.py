@@ -12,7 +12,6 @@ from lexeu.events import (
     bell_number,
     enumerate_partitions,
     partition_masks,
-    set_op,
     singleton_partition,
 )
 
@@ -43,8 +42,6 @@ def test_set_algebra():
     assert (a - b).labels == ("s1",)
     assert (a ^ b).labels == ("s1", "s3")
     assert a.complement().labels == ("s3", "s4")
-    assert set_op("union", a, b) == a | b
-    assert set_op("complement", a) == a.complement()
 
 
 def test_space_mismatch_raises():

@@ -9,8 +9,15 @@ import pytest
 
 from conftest import build_m0, random_model
 from test_axioms import _p0_defect, _p2_defect, flat2
+from lexeu import synthesis
 from lexeu.acts import OutcomeSpace, compose, constant_act
-from lexeu.errors import AxiomPrecheckFailed, IncompleteTable, Unrepresentable
+from lexeu.errors import (
+    AxiomPrecheckFailed,
+    CapExceeded,
+    IncompleteTable,
+    Unrepresentable,
+    VerificationFailed,
+)
 from lexeu.events import Event, StateSpace
 from lexeu.family import TableBackedFamily, derive_table
 from lexeu.feasibility import fourier_motzkin_feasible, solve
@@ -18,7 +25,9 @@ from lexeu.model import GsleuModel, Level
 from lexeu.preference import class_partition
 from lexeu.synthesis import (
     _first_mismatch,
+    _fit_class,
     _prize_constants,
+    _view,
     infer_hierarchy,
     infer_measure,
     infer_utility,
@@ -253,3 +262,108 @@ def test_random_round_trips():
         model = random_model(rng, n_min=2, n_max=4)
         result = synthesize(derive_table(model), precheck_budget=10_000)
         assert result.verified
+
+
+def _swapped(table: TableBackedFamily, mask: int, i: int) -> TableBackedFamily:
+    """The table with tiers i and i + 1 of its ranking at mask exchanged."""
+    entry = list(table.tiers[mask])
+    entry[i], entry[i + 1] = entry[i + 1], entry[i]
+    return TableBackedFamily(
+        table.space,
+        table.outcome_space,
+        dict(table.acts),
+        {**table.tiers, mask: tuple(entry)},
+        table.unconditional,
+    )
+
+
+def test_mismatch_message_lists_labels_in_state_order(monkeypatch):
+    monkeypatch.setattr(synthesis, "_gate", lambda *a: {})
+    table = derive_table(random_model(random.Random(16), n_min=3, n_max=4, n_outcomes=2))
+    with pytest.raises(VerificationFailed) as err:
+        synthesize(_swapped(table, 11, 0))
+    assert str(err.value) == "synthesized model ranks an act pair differently at {s1, s2, s4}"
+
+
+def _row(c) -> str:
+    terms = " ".join(f"{q}*{v}" for v, q in sorted(c.coeffs.items()))
+    return f"{terms} {c.rel.value} {c.rhs}"
+
+
+def _class_fits(table: TableBackedFamily) -> list[tuple]:
+    """_fit_class per class, top class first: (measure, utility, strategy)
+    as strings, or (error type, message, certificate row set)."""
+    fam = _view(table)
+    part = infer_hierarchy(table, precheck=False)
+    out = []
+    for supp, top in zip(part.supports, part.top_events):
+        try:
+            p, u, diag = _fit_class(fam, supp, top)
+        except (CapExceeded, Unrepresentable) as exc:
+            cert = getattr(exc, "certificate", None)
+            rows = None if cert is None else {_row(c) for c in cert.constraints}
+            out.append((type(exc).__name__, str(exc), rows))
+        else:
+            measure = {s: str(q) for s, q in p.items()}
+            utility = {o: str(v) for o, v in u.items()}
+            out.append((measure, utility, diag["strategy"]))
+    return out
+
+
+JOINT_LIMIT = "joint recovery handles at most one strictly intermediate outcome"
+NO_ADDITIVE_MEASURE = (
+    "Unrepresentable",
+    "the qualitative order admits no additive measure",
+    {"-1*s1 = 0", "1*s1 = 1", "1*s1 > 0"},
+)
+
+# (seed, outcome count, swapped (event mask, tier) or None, per-class fits);
+# tables are derive_table(random_model(Random(seed), 2, 3, outcomes))
+FIT_PATHS = [
+    # four outcomes: the linear-program utility fit, and the joint search's limit
+    (0, 4, None, [
+        ("CapExceeded", JOINT_LIMIT, None),
+        ({"s1": "1"}, {"a": "0", "b": "2/3", "c": "1/3", "d": "1"}, "direct"),
+    ]),
+    (2, 4, None, [
+        ({"s1": "5/12", "s2": "7/12"},
+         {"a": "271/392", "b": "10/49", "c": "1", "d": "0"}, "vertex(1)"),
+    ]),
+    # two outcomes: no utility is left free
+    (0, 2, (6, 0), [
+        ("Unrepresentable", "no measure fits the table at the pinned utility",
+         {"-1*s3 > 0", "1*s2 -1*s3 > 0", "1*s2 1*s3 = 1", "1*s2 > 0", "1*s3 > 0"}),
+        NO_ADDITIVE_MEASURE,
+    ]),
+    # three outcomes: the middle utility's bounds, relaxation and scan
+    (0, 3, (6, 0), [
+        ("Unrepresentable", "no middle utility value satisfies the single-state rankings",
+         {"-1*c > -1", "1*c > 0", "1*c > 1"}),
+        NO_ADDITIVE_MEASURE,
+    ]),
+    (7, 3, (7, 2), [
+        ("Unrepresentable", "no measure/utility pair fits the table", {
+            "-1*s1 1*s2 -1*s3 > 0", "-1*s1 1*s3 1*t*s1 -1*t*s2 -1*t*s3 > 0",
+            "-1*s1 1*s3 1*t*s1 -1*t*s3 > 0", "-1*s1 1*s3 > 0",
+            "-1*s1 1*t*s1 1*t*s2 -1*t*s3 > 0", "-1*s1 1*t*s3 > 0",
+            "1*s1 -1*s3 1*t*s2 1*t*s3 = 0", "1*s1 -1*s3 1*t*s3 > 0",
+            "1*s1 -1*t*s1 > 0", "1*s1 -1*t*s2 1*t*s3 = 0", "1*s1 1*s2 1*s3 = 1",
+            "1*s1 > 0", "1*s2 -1*s3 -1*t*s2 = 0", "1*s2 -1*t*s2 > 0", "1*s2 > 0",
+            "1*s3 -1*t*s1 -1*t*s3 > 0", "1*s3 -1*t*s3 > 0", "1*s3 > 0",
+            "1*t*s1 > 0", "1*t*s2 > 0", "1*t*s3 > 0",
+        }),
+    ]),
+    (0, 3, (6, 1), [
+        ("CapExceeded", "utility parameter scan exhausted without a fit", None),
+        NO_ADDITIVE_MEASURE,
+    ]),
+]
+
+
+@pytest.mark.parametrize("seed, n_outcomes, swap, expected", FIT_PATHS)
+def test_fit_paths(seed, n_outcomes, swap, expected):
+    model = random_model(random.Random(seed), n_min=2, n_max=3, n_outcomes=n_outcomes)
+    table = derive_table(model)
+    if swap is not None:
+        table = _swapped(table, *swap)
+    assert _class_fits(table) == expected
