@@ -365,22 +365,21 @@ _BET_CACHE_NOTE = "bets use the best and worst constants at S"
 def _qp_masses(
     fam: _Fam, at: int, within: int, best: tuple[int, ...], worst: tuple[int, ...]
 ) -> dict[int, int] | None:
-    """Dense ranks, at the event `at`, of the bets (best prize on the
-    subevent, worst off it) on every subevent of `within`; higher means
-    more probable.  None when the table lacks some bet composite."""
-    scored = []
+    """Scores, at the event `at`, of the bets (best prize on the subevent,
+    worst off it) on every subevent of `within`; higher means more
+    probable.  None when the table lacks some bet composite."""
+    scores = {}
     for m in _submasks(within):
         score = fam.score(at, splice(best, m, worst))
         if score is None:
             fam.skipped += 1
             return None
-        scored.append((score, m))
-    level = {s: k for k, s in enumerate(sorted({s for s, _ in scored}))}
-    return {m: level[s] for s, m in scored}
+        scores[m] = score
+    return scores
 
 
-def _eval_qp_additivity(ranks: dict[int, int], b: int, c: int, d: int) -> bool:
-    return sign(ranks[b] - ranks[c]) == sign(ranks[b | d] - ranks[c | d])
+def _eval_qp_additivity(scores: dict[int, int], b: int, c: int, d: int) -> bool:
+    return sign(scores[b] - scores[c]) == sign(scores[b | d] - scores[c | d])
 
 
 # -- checkers ---------------------------------------------------------------
@@ -596,26 +595,26 @@ def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
         w = Witness((fam.space.full,), tuple(fam.constants.values()), "no strict constant pair")
         return AxiomReport("QP", AxiomStatus.VIOLATED, (w,), {"instances": 0})
     for a in fam.events():
-        ranks = _qp_masses(fam, a.mask, a.mask, best.assignment, worst.assignment)
-        if ranks is None:
+        scores = _qp_masses(fam, a.mask, a.mask, best.assignment, worst.assignment)
+        if scores is None:
             continue
         # ranked tiers are a weak order by construction; positivity and
         # additivity are the live clauses
         for b_mask in _submasks(a.mask):
             count += 1
-            if ranks[b_mask] < ranks[0]:
+            if scores[b_mask] < scores[0]:
                 failures.append(
                     Witness((a, Event(fam.space, b_mask)), (best, worst), "bet below the empty bet")
                 )
         count += 1
-        if not ranks[a.mask] > ranks[0]:
+        if not scores[a.mask] > scores[0]:
             failures.append(Witness((a,), (best, worst), "the sure bet does not beat the empty bet"))
         for b_mask in _submasks(a.mask):
             for c_mask in _submasks(a.mask):
                 free = a.mask & ~(b_mask | c_mask)
                 for d_mask in _submasks(free):
                     count += 1
-                    if not _eval_qp_additivity(ranks, b_mask, c_mask, d_mask):
+                    if not _eval_qp_additivity(scores, b_mask, c_mask, d_mask):
                         failures.append(
                             Witness(
                                 (
@@ -760,14 +759,14 @@ def replay_witness(family, axiom_id: str, witness: Witness) -> bool:
         best, worst = _prize_pair(fam)
         if best is None:
             return False
-        ranks = _qp_masses(fam, ev[0].mask, ev[0].mask, best.assignment, worst.assignment)
-        if ranks is None:
+        scores = _qp_masses(fam, ev[0].mask, ev[0].mask, best.assignment, worst.assignment)
+        if scores is None:
             return True
         if len(ev) == 1:
-            return ranks[ev[0].mask] > ranks[0]
+            return scores[ev[0].mask] > scores[0]
         if len(ev) == 2:
-            return ranks[ev[1].mask] >= ranks[0]
-        return _eval_qp_additivity(ranks, ev[1].mask, ev[2].mask, ev[3].mask)
+            return scores[ev[1].mask] >= scores[0]
+        return _eval_qp_additivity(scores, ev[1].mask, ev[2].mask, ev[3].mask)
     if axiom_id == "NULLITY":
         return _eval_nullity(fam, *ev)
     if axiom_id == "DOMINANCE":

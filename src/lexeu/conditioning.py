@@ -78,7 +78,6 @@ def strong_conditional_strict(
     f: Act,
     g: Act,
     h: Act | None = None,
-    partition_budget: int | None = None,
 ) -> ConditioningVerdict:
     """Strict conditional preference via constant-act perturbations.
 
@@ -108,7 +107,6 @@ def strong_conditional_strict(
     zero = (0,) * m.depth
     singles = tuple(1 << i for i in kern.members(a.mask))
 
-    budget = a.size if partition_budget is None else min(partition_budget, a.size)
     verdicts: dict[tuple[int, int], bool] = {}
 
     def cell_ok(cell: int, const_idx: int) -> bool:
@@ -134,7 +132,7 @@ def strong_conditional_strict(
                     cap=PARTITION_ENUM_CAP,
                 )
             for part in kern.partitions(a.mask):
-                if len(part) > budget or part == singles:
+                if part == singles:
                     continue
                 if all(cell_ok(cell, const_idx) for cell in part):
                     return part
@@ -222,7 +220,6 @@ def observability_check(
     m: GsleuModel,
     acts: Iterable[Act] | None = None,
     events: Iterable[Event] | None = None,
-    partition_budget: int | None = None,
 ) -> ObservabilityReport:
     """Sweep events and act pairs comparing the strong conditional with the
     indexed preference.
@@ -270,9 +267,7 @@ def observability_check(
             p, q = (y, x) if swap else (x, y)
             win = Ordering.STRICTLY_DISPREFER if swap else Ordering.STRICTLY_PREFER
             savage_s, indexed_s = savage is win, indexed is win
-            strong_s = savage_s and strong_conditional_strict(
-                m, ev_, p, q, partition_budget=partition_budget
-            ).strong_strict
+            strong_s = savage_s and strong_conditional_strict(m, ev_, p, q).strong_strict
             fine = indexed_s and fineness_holds(m, ev_, p, q)
             cls = _classify(indexed_s, strong_s, fine)
             out.append((swap, savage_s, indexed_s, strong_s, fine, cls))

@@ -128,7 +128,7 @@ class Event:
 Partition = tuple[Event, ...]
 
 
-def enumerate_partitions(a: Event, max_blocks: int | None = None) -> Iterator[Partition]:
+def enumerate_partitions(a: Event) -> Iterator[Partition]:
     """Yield all partitions of a nonempty event, restricted-growth order.
 
     Each partition is a tuple of disjoint nonempty events covering `a`,
@@ -138,20 +138,17 @@ def enumerate_partitions(a: Event, max_blocks: int | None = None) -> Iterator[Pa
     """
     if a.is_empty:
         raise EmptyEvent("cannot partition the empty event")
-    for masks in partition_masks(a.members, max_blocks):
+    for masks in partition_masks(a.members):
         yield tuple(Event(a.space, m) for m in masks)
 
 
-def partition_masks(
-    members: Sequence[int], max_blocks: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def partition_masks(members: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of the given state indices as tuples of block
     masks, in enumerate_partitions' order: state i joins each open block
-    in turn, then opens a new one while fewer than max_blocks are open."""
+    in turn, then opens a new one."""
     bits = [1 << i for i in members]
     n = len(bits)
-    limit = n if max_blocks is None else min(max_blocks, n)
-    if limit < 1:
+    if not n:
         return
     blocks = [bits[0]]
 
@@ -164,10 +161,9 @@ def partition_masks(
             blocks[b] |= bit
             yield from rec(i + 1)
             blocks[b] ^= bit
-        if len(blocks) < limit:
-            blocks.append(bit)
-            yield from rec(i + 1)
-            blocks.pop()
+        blocks.append(bit)
+        yield from rec(i + 1)
+        blocks.pop()
 
     yield from rec(1)
 

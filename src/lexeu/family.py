@@ -61,12 +61,13 @@ class TableBackedFamily:
         for mask in self.tiers:
             if not 0 < mask <= full:
                 raise ValidationError((f"tier entry for a mask outside the powerset: {mask}",))
-        missing = [m for m in range(1, full + 1) if m not in self.tiers]
+        # the keys are masks in 1..full, so the count is exact, and the
+        # first gap lies within len(tiers) + 1 of the start
+        missing = full - len(self.tiers)
         if missing:
-            label = ",".join(self.space.states[i] for i in Event(self.space, missing[0]).members)
-            raise IncompleteTable(
-                f"{len(missing)} events have no ranking (first: {{{label}}})"
-            )
+            first = next(m for m in range(1, full + 1) if m not in self.tiers)
+            label = ",".join(self.space.states[i] for i in Event(self.space, first).members)
+            raise IncompleteTable(f"{missing} events have no ranking (first: {{{label}}})")
         self._rank: dict[int, dict[str, int]] = {}
         for mask, tiers in self.tiers.items():
             self._rank[mask] = self._check_tiers(tiers, f"event mask {mask}")

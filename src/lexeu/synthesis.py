@@ -29,6 +29,7 @@ from .axioms import (
     AxiomReport,
     AxiomStatus,
     _Fam,
+    _order,
     _prize_pair,
     _qp_masses,
     _submasks,
@@ -41,7 +42,7 @@ from .errors import (
     VerificationFailed,
 )
 from .events import Event
-from .family import TableBackedFamily, derive_table
+from .family import TableBackedFamily, Tiers, _group_desc, derive_table
 from .feasibility import (
     ConstraintSystem,
     FeasibilityResult,
@@ -49,7 +50,7 @@ from .feasibility import (
     optimize_closure,
     solve,
 )
-from .model import GsleuModel, Level, ONE, ZERO, sign, validate_model
+from .model import GsleuModel, Level, ONE, ZERO, validate_model
 from .preference import ClassPartition
 
 # the unconditional P0.5 runs last; the hierarchy needs only the indexed
@@ -189,14 +190,11 @@ def _bet_order(
     """
     best, worst = _prize_constants(fam.family)
     space = fam.space
-    ranks = _qp_masses(fam, at.mask, supp.mask, best.assignment, worst.assignment)
-    if ranks is None:  # name the first bet the table lacks
+    scores = _qp_masses(fam, at.mask, supp.mask, best.assignment, worst.assignment)
+    if scores is None:  # name the first bet the table lacks
         for m in _submasks(supp.mask):
             fam.family.name_of(compose(best, Event(space, m), worst))
-    by_rank: dict[int, list[int]] = {}
-    for m in _submasks(supp.mask):
-        by_rank.setdefault(ranks[m], []).append(m)
-    ordered = [by_rank[r] for r in sorted(by_rank, reverse=True)]
+    ordered = _group_desc([(s, m) for m, s in scores.items()])
     out = []
     for group in ordered:
         rep = Event(space, group[0]).labels
@@ -205,17 +203,6 @@ def _bet_order(
     for hi, lo in zip(ordered, ordered[1:]):
         out.append((Event(space, hi[0]).labels, ">", Event(space, lo[0]).labels))
     return out
-
-
-def infer_measure(
-    table: TableBackedFamily, class_index: int, partition: ClassPartition
-) -> dict[str, Fraction]:
-    """The class's measure over its atoms, from bet comparisons at the
-    class's top event."""
-    supp = partition.supports[class_index - 1]
-    top = partition.top_events[class_index - 1]
-    measure, _ = measure_from_order(supp.labels, _bet_order(_view(table), supp, top))
-    return measure
 
 
 # -- stage 3: utilities ------------------------------------------------------
@@ -359,15 +346,14 @@ def _reduced_solve(system: ConstraintSystem) -> FeasibilityResult:
     return solve(reduced)
 
 
-def _constant_tiers(fam: _Fam, at: Event) -> list[list[str]]:
+def _constant_tiers(fam: _Fam, at: Event) -> Tiers:
     """Outcome labels grouped and ordered by the constant-act ranking."""
-    by_score: dict[int, list[str]] = {}
-    for o, act in fam.constants.items():
-        by_score.setdefault(fam.score(at.mask, act.assignment), []).append(o)
-    return [by_score[s] for s in sorted(by_score, reverse=True)]
+    return _group_desc(
+        [(fam.score(at.mask, act.assignment), o) for o, act in fam.constants.items()]
+    )
 
 
-def _pinned(tiers: list[list[str]]) -> dict[str, Fraction]:
+def _pinned(tiers: Tiers) -> dict[str, Fraction]:
     """The normalization every fit uses: the best constant tier at 1 and
     the worst at 0."""
     fixed = {o: ONE for o in tiers[0]}
@@ -449,14 +435,13 @@ class _ClassRows:
         seen: set = set()
         outs = fam.outcome_space.outcomes
         members = supp.members
-        keys: set[tuple[int, ...]] = set()
-        by_score: dict[int, list[tuple[int, ...]]] = {}
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}
         for _, act in fam.universe:
-            key = tuple(act.assignment[i] for i in members)
-            if key not in keys:
-                keys.add(key)
-                by_score.setdefault(fam.score(supp.mask, act.assignment), []).append(key)
-        ordered = [sorted(by_score[s]) for s in sorted(by_score, reverse=True)]
+            first.setdefault(tuple(act.assignment[i] for i in members), act.assignment)
+        ordered = [
+            sorted(tier)
+            for tier in _group_desc([(fam.score(supp.mask, x), key) for key, x in first.items()])
+        ]
         for tier in ordered:
             for other in tier[1:]:
                 self._push(members, outs, other, tier[0], Rel.EQ, seen)
@@ -641,37 +626,12 @@ def _measure_vertices(
                 return
 
 
-def infer_utility(
-    table: TableBackedFamily, class_index: int, measure: dict[str, Fraction]
-) -> dict[str, Fraction]:
-    """The class's utility, normalized to worst 0 / best 1, fitted against
-    the given measure.  When no utility is compatible with that particular
-    measure the class is re-fitted jointly — the returned utility then
-    pairs with a different measure; synthesize() keeps such pairs
-    together."""
-    supp_mask = 0
-    for label, mass in measure.items():
-        if mass > ZERO:
-            supp_mask |= 1 << table.space.index(label)
-    supp = Event(table.space, supp_mask)
-    rows = _ClassRows(_view(table), supp)
-    u = rows.fit_utility(measure)
-    if u is not None:
-        return u
-    _, u, _ = _fit_class(rows.fam, supp, supp, rows)
-    return u
-
-
 def _fit_class(
-    fam: _Fam,
-    supp: Event,
-    top: Event,
-    rows: _ClassRows | None = None,
+    fam: _Fam, supp: Event, top: Event
 ) -> tuple[dict[str, Fraction], dict[str, Fraction], dict]:
     """(measure, utility, diagnostics) for one class, trying in order the
     interior measure, extreme measures, and the joint parametric search."""
-    if rows is None:
-        rows = _ClassRows(fam, supp)
+    rows = _ClassRows(fam, supp)
     p, msys = measure_from_order(supp.labels, _bet_order(fam, supp, top))
     diag = {"measure_rows": len(msys.constraints), "ranking_rows": len(rows.rows)}
     u = rows.fit_utility(p)
@@ -795,41 +755,25 @@ def _middle_system(rows: _ClassRows, fixed: dict[str, Fraction], mid: str) -> Co
 # -- stage 4: assembly and verification --------------------------------------
 
 
-def _restricted(partition: tuple, keep: frozenset) -> tuple:
-    out = []
-    for tier in partition:
-        block = tier & keep
-        if block:
-            out.append(block)
-    return tuple(out)
-
-
-def _assignment_tiers(table: TableBackedFamily, key) -> tuple:
-    """A ranking entry keyed by act assignments rather than act names."""
-    tiers = table.unconditional if key is None else table.tiers[key]
-    return tuple(
-        frozenset(table.acts[name].assignment for name in tier) for tier in tiers
-    )
-
-
 def _first_mismatch(expected: TableBackedFamily, produced: TableBackedFamily):
     """None when the produced table ranks every act pair of the expected
     one identically at every event; else a (event-or-None, f, g) witness."""
-    keep = frozenset(act.assignment for act in expected.acts.values())
-    keys = [ev.mask for ev in expected.space.all_events() if not ev.is_empty]
-    keys.append(None)
-    for key in keys:
-        exp = _assignment_tiers(expected, key)
-        got = _restricted(_assignment_tiers(produced, key), keep)
-        if exp == got:
+    xs = sorted({act.assignment for act in expected.acts.values()})
+    for key in [*range(1, expected.space.full.mask + 1), None]:
+        if key is None:
+            exp = [expected.uncond_key(x) for x in xs]
+            got = [produced.uncond_key(x) for x in xs]
+        else:
+            exp = [expected.score(key, x) for x in xs]
+            got = [produced.score(key, x) for x in xs]
+        # both sides list each tier in xs order, so equal tiers compare equal
+        if _group_desc(zip(exp, xs)) == _group_desc(zip(got, xs)):
             continue
-        rank_e = {a: i for i, tier in enumerate(exp) for a in tier}
-        rank_g = {a: i for i, tier in enumerate(got) for a in tier}
-        for a, b in itertools.combinations(sorted(rank_e), 2):
-            if sign(rank_e[a] - rank_e[b]) != sign(rank_g[a] - rank_g[b]):
+        for i, j in itertools.combinations(range(len(xs)), 2):
+            if _order(exp[i], exp[j]) is not _order(got[i], got[j]):
                 event = None if key is None else Event(expected.space, key)
-                f = Act(expected.space, expected.outcome_space, a)
-                g = Act(expected.space, expected.outcome_space, b)
+                f = Act(expected.space, expected.outcome_space, xs[i])
+                g = Act(expected.space, expected.outcome_space, xs[j])
                 return event, f, g
     return None
 

@@ -1,5 +1,6 @@
 """Exit codes and output formats of every subcommand."""
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -114,6 +115,37 @@ def test_exponent_rational_exit_2_without_hanging(files, tmp_path):
     )
     assert result.returncode == 2
     assert "not a rational" in result.stderr
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_wide_table_with_missing_rankings_exit_2_without_hanging(tmp_path):
+    # 40 states and one listed event: listing the 2^40 - 2 missing ones
+    # would not finish, so run it in a child with a timeout and a memory cap
+    states = [f"s{i}" for i in range(1, 41)]
+    table = {
+        "states": states,
+        "outcomes": ["a", "b"],
+        "acts": [
+            {"name": "lo", "map": dict.fromkeys(states, "a")},
+            {"name": "hi", "map": dict.fromkeys(states, "b")},
+        ],
+        "prefs": {"s1": [["hi"], ["lo"]]},
+        "unconditional": [["hi"], ["lo"]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(table))
+    result = subprocess.run(
+        [sys.executable, "-m", "lexeu.cli", "synthesize", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_memory,
+    )
+    assert result.returncode == 2
+    assert f"{2**40 - 2} events have no ranking (first: {{s2}})" in result.stderr
 
 
 @pytest.mark.parametrize(

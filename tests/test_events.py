@@ -98,13 +98,6 @@ def test_partition_blocks_cover_and_disjoint():
         assert union == a.mask
 
 
-def test_partition_max_blocks():
-    a = S4.event(["s1", "s2", "s3"])
-    parts = list(enumerate_partitions(a, max_blocks=2))
-    assert all(len(p) <= 2 for p in parts)
-    assert len(parts) == 4  # 5 partitions of a 3-set minus the singleton one
-
-
 def test_singleton_partition():
     a = S4.event(["s2", "s4"])
     assert singleton_partition(a) == (S4.event(["s2"]), S4.event(["s4"]))
@@ -114,17 +107,14 @@ def test_singleton_partition():
         list(enumerate_partitions(S4.empty))
 
 
-def _restricted_growth_masks(members, max_blocks):
+def _restricted_growth_masks(members):
     """Partitions as block masks from restricted-growth strings, taken
     lexicographically from every code string."""
     n = len(members)
-    limit = n if max_blocks is None else max_blocks
     out = []
     for tail in itertools.product(range(n), repeat=n - 1):
         codes = (0,) + tail
         if any(c > max(codes[:i]) + 1 for i, c in enumerate(codes) if i):
-            continue
-        if max(codes) + 1 > limit:
             continue
         blocks = [0] * (max(codes) + 1)
         for state, code in zip(members, codes):
@@ -139,9 +129,6 @@ def test_partition_masks_follow_restricted_growth_order():
         # low states, high states, and (up to four) every other state
         for members in (tuple(range(n)), tuple(range(8 - n, 8)), tuple(range(0, 8, 2))[:n]):
             a = Event(space, sum(1 << i for i in members))
-            for max_blocks in (None, *range(0, len(members) + 2)):
-                expected = _restricted_growth_masks(members, max_blocks)
-                assert list(partition_masks(members, max_blocks)) == expected
-                assert [
-                    tuple(b.mask for b in p) for p in enumerate_partitions(a, max_blocks)
-                ] == expected
+            expected = _restricted_growth_masks(members)
+            assert list(partition_masks(members)) == expected
+            assert [tuple(b.mask for b in p) for p in enumerate_partitions(a)] == expected

@@ -29,8 +29,6 @@ from lexeu.synthesis import (
     _prize_constants,
     _view,
     infer_hierarchy,
-    infer_measure,
-    infer_utility,
     measure_from_order,
     synthesize,
 )
@@ -101,19 +99,23 @@ def test_single_level_table_gives_one_class():
     assert set(part.supports[0].labels) == {"s1", "s2"}
 
 
+def _fit(table: TableBackedFamily, k: int) -> tuple:
+    """_fit_class on the table's k-th class, counted from 1."""
+    part = infer_hierarchy(table, precheck=False)
+    return _fit_class(_view(table), part.supports[k - 1], part.top_events[k - 1])
+
+
 def test_m0_frozen_measures():
-    part = infer_hierarchy(M0_TABLE, precheck=False)
-    assert infer_measure(M0_TABLE, 1, part) == {"s1": F(1, 2), "s2": F(1, 2)}
-    assert infer_measure(M0_TABLE, 2, part) == {"s3": F(1)}
-    assert infer_measure(M0_TABLE, 3, part) == {"s4": F(1)}
+    assert _fit(M0_TABLE, 1)[0] == {"s1": F(1, 2), "s2": F(1, 2)}
+    assert _fit(M0_TABLE, 2)[0] == {"s3": F(1)}
+    assert _fit(M0_TABLE, 3)[0] == {"s4": F(1)}
 
 
 def test_m0_frozen_utilities():
-    half = {"s1": F(1, 2), "s2": F(1, 2)}
-    assert infer_utility(M0_TABLE, 1, half) == {"a": F(0), "b": F(1, 2), "c": F(1)}
+    assert _fit(M0_TABLE, 1)[1] == {"a": F(0), "b": F(1, 2), "c": F(1)}
     # a one-atom class orders the constants but pins nothing between the
     # extremes, so the midpoint of the admissible interval is reported
-    assert infer_utility(M0_TABLE, 2, {"s3": F(1)}) == {
+    assert _fit(M0_TABLE, 2)[1] == {
         "a": F(0),
         "b": F(1, 2),
         "c": F(1),
@@ -129,9 +131,7 @@ def test_two_tier_class_utility_is_two_valued():
         {"a": F(0), "b": F(1), "c": F(1)},
     )
     table = derive_table(GsleuModel(space, ospace, (level,)))
-    part = infer_hierarchy(table, precheck=False)
-    measure = infer_measure(table, 1, part)
-    assert infer_utility(table, 1, measure) == {"a": F(0), "b": F(1), "c": F(1)}
+    assert _fit(table, 1)[1] == {"a": F(0), "b": F(1), "c": F(1)}
 
 
 def test_measure_from_order_basics():
@@ -175,31 +175,28 @@ def test_precheck_gate_blocks_bad_tables():
     assert any(r.axiom_id == "P0.5" for r in err.value.reports)
 
 
-def test_missing_bet_act_is_reported():
-    best, worst = _prize_constants(M0_TABLE)
-    keep = {}
-    for o in M0_TABLE.outcome_space.outcomes:
-        c = constant_act(o, M0_TABLE.space, M0_TABLE.outcome_space)
-        keep[M0_TABLE.name_of(c)] = c
-    for mask in range(1, 1 << 4):
-        if mask == 1:
-            continue  # drop the bet on {s1} alone
-        bet = compose(best, Event(M0_TABLE.space, mask), worst)
-        keep[M0_TABLE.name_of(bet)] = bet
-    keep[M0_TABLE.name_of(worst)] = worst
-    with pytest.raises(IncompleteTable):
-        synthesize(restrict(M0_TABLE, keep))
-
-
-def test_partial_table_of_constants_and_bets_synthesizes():
+def _constants_and_bets(skip: int | None = None) -> dict:
+    """M0's constant acts and its bets on every event but `skip`, by name."""
     best, worst = _prize_constants(M0_TABLE)
     keep = {}
     for o in M0_TABLE.outcome_space.outcomes:
         c = constant_act(o, M0_TABLE.space, M0_TABLE.outcome_space)
         keep[M0_TABLE.name_of(c)] = c
     for mask in range(1 << 4):
-        bet = compose(best, Event(M0_TABLE.space, mask), worst)
-        keep[M0_TABLE.name_of(bet)] = bet
+        if mask != skip:
+            bet = compose(best, Event(M0_TABLE.space, mask), worst)
+            keep[M0_TABLE.name_of(bet)] = bet
+    return keep
+
+
+def test_missing_bet_act_is_reported():
+    keep = _constants_and_bets(skip=1)  # no bet on {s1} alone
+    with pytest.raises(IncompleteTable):
+        synthesize(restrict(M0_TABLE, keep))
+
+
+def test_partial_table_of_constants_and_bets_synthesizes():
+    keep = _constants_and_bets()
     result = synthesize(restrict(M0_TABLE, keep))
     assert result.verified
     # the restricted table constrains less, but what it does say is honored
@@ -254,6 +251,18 @@ def test_mismatch_reporting():
     where, f, g = _first_mismatch(M0_TABLE, tampered)
     assert where is not None and where.mask == 3
     assert f in M0_TABLE.acts.values() and g in M0_TABLE.acts.values()
+
+
+def test_partial_table_mismatch_names_a_listed_pair():
+    # the produced table ranks all 81 acts; only the listed ones count
+    keep = _constants_and_bets()
+    for name in ("f5", "f13", "f41", "f50", "f67", "f77"):
+        keep[name] = M0_TABLE.acts[name]
+    partial = restrict(M0_TABLE, keep)
+    assert _first_mismatch(partial, derive_table(M0)) is None
+    where, f, g = _first_mismatch(_swapped(partial, 7, 1), derive_table(M0))
+    assert where.mask == 7
+    assert (f.assignment, g.assignment) == ((0, 2, 0, 0), (1, 2, 1, 2))
 
 
 def test_random_round_trips():
@@ -367,3 +376,26 @@ def test_fit_paths(seed, n_outcomes, swap, expected):
     if swap is not None:
         table = _swapped(table, *swap)
     assert _class_fits(table) == expected
+
+
+def test_fixed_utility_exit():
+    # one tier at {s1, s2}: every constant ties at the top class's support,
+    # so the pinned utility is all zeros and the measure fits it; the gate
+    # rejects such a table
+    ranked = tuple(n for tier in M0_TABLE.tiers[3] for n in tier)
+    table = TableBackedFamily(
+        M0_TABLE.space,
+        M0_TABLE.outcome_space,
+        dict(M0_TABLE.acts),
+        {**M0_TABLE.tiers, 3: (ranked,)},
+        M0_TABLE.unconditional,
+    )
+    assert _class_fits(table) == [
+        ({"s1": "1/2", "s2": "1/2"}, {"a": "0", "b": "0", "c": "0"}, "fixed-utility"),
+        ("Unrepresentable", "the qualitative order admits no additive measure",
+         {"-1*s3 -1*s4 = 0", "-1*s3 = 0", "-1*s4 = 0", "1*s3 1*s4 = 1", "1*s3 > 0",
+          "1*s4 > 0"}),
+    ]
+    with pytest.raises(AxiomPrecheckFailed) as err:
+        synthesize(table)
+    assert [r.axiom_id for r in err.value.reports] == ["P2.5", "P3.5", "SE"]
