@@ -552,15 +552,8 @@ def _check_p6(fam: _Fam, budget: int) -> AxiomReport:
                     count += 1
                     if not _eval_p6(fam, a, x, y, h):
                         no_partition.append(Witness((a,), (x, y, h), "no separating partition"))
-    stats = {
-        "instances": count,
-        "pair_regime": regime,
-        "failures": len(no_partition),
-    }
-    report = AxiomReport(
-        "P6.5", AxiomStatus.INFORMATIONAL, tuple(no_partition[:MAX_WITNESSES]), stats
-    )
-    return report
+    stats = {"instances": count, "pair_regime": regime, "failures": len(no_partition)}
+    return _report("P6.5", no_partition, stats, informational=True)
 
 
 def _check_se(fam: _Fam, budget: int) -> AxiomReport:
@@ -706,11 +699,7 @@ CORE_IDS = tuple(i for i in AXIOM_IDS[:8] if i != "P6.5")
 def check_axiom(family, axiom_id: str, budget: int = DEFAULT_BUDGET) -> AxiomReport:
     if axiom_id not in _CHECKERS:
         raise KeyError(f"unknown axiom {axiom_id!r}; expected one of {AXIOM_IDS}")
-    fam = _Fam(family)
-    report = _CHECKERS[axiom_id](fam, budget)
-    if fam.skipped:
-        report.statistics["skipped_missing_composites"] = fam.skipped
-    return report
+    return check_all(family, budget, (axiom_id,)).reports[0]
 
 
 def check_all(

@@ -233,9 +233,9 @@ def observability_check(
     At an event A every verdict reads the two acts on A only: the savage
     and indexed comparisons and the fineness gap are sums over A's states,
     and the strong conditional's perturbation cells lie inside A, so the
-    off-A values of fAh and gAh cancel.  Each pair of restrictions to A is
-    therefore classified once, and every act pair with those restrictions
-    reuses the verdicts.
+    off-A values of fAh and gAh cancel.  Each unordered pair of
+    restrictions to A is therefore classified once, and every act pair with
+    those restrictions, in either order, reuses the verdicts.
     """
     act_list = list(acts) if acts is not None else list(
         enumerate_acts(m.space, m.outcome_space)
@@ -281,10 +281,19 @@ def observability_check(
             rx = restricted[i]
             for j in range(i + 1, len(act_list)):
                 y = act_list[j]
-                key = (rx, restricted[j])
+                ry = restricted[j]
+                flip = ry < rx
+                key = (ry, rx) if flip else (rx, ry)
                 instances = memo.get(key)
                 if instances is None:
-                    instances = memo[key] = classify(ev_, x, y)
+                    instances = memo[key] = classify(ev_, y, x) if flip else classify(ev_, x, y)
+                if flip:
+                    # the pair's verdicts, met as (y, x): only the swap marks
+                    # change.  When neither instance is savage-strict, at
+                    # most one is reported (neither can be strong, and the
+                    # indexed preference is strict one way only), so their
+                    # order never shows.
+                    instances = tuple((not inst[0],) + inst[1:] for inst in instances)
                 for swap, savage_s, indexed_s, strong_s, fine, cls in instances:
                     total += 1
                     if strong_s:

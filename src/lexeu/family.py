@@ -3,8 +3,8 @@
 The axiom checkers and the synthesis pipeline quantify over these.  A
 family either wraps a model (rankings computed on demand) or is an
 explicit table of ranked tiers over a finite act list.  The empty event's
-ranking is degenerate by construction — every act ties — and is never
-stored.
+ranking is degenerate by construction — every act ties — and a table
+never lists it.
 
 Both kinds answer the same three questions, by event mask and act
 assignment, which is all the axiom checkers ask of them: `score` (an int
@@ -20,13 +20,6 @@ from .acts import Act, OutcomeSpace, enumerate_acts
 from .errors import IncompleteTable, SpaceMismatch, ValidationError
 from .events import Event, StateSpace
 from .model import GsleuModel
-from .preference import (
-    DEGENERATE,
-    Ordering,
-    agreement,
-    indexed_prefer,
-    lex_prefer,
-)
 
 Tiers = tuple[tuple[str, ...], ...]
 
@@ -49,18 +42,17 @@ class TableBackedFamily:
     def __post_init__(self) -> None:
         self.tiers = {mask: tuple(tuple(t) for t in tiers) for mask, tiers in self.tiers.items()}
         self.unconditional = tuple(tuple(t) for t in self.unconditional)
-        names = set(self.acts)
-        if not names:
-            raise ValidationError(("table lists no acts",))
+        if not self.acts:
+            raise ValidationError("table lists no acts")
         for name, act in self.acts.items():
             if act.space != self.space or act.outcome_space != self.outcome_space:
                 raise SpaceMismatch(f"act {name!r} over different spaces than the table")
         if 0 in self.tiers:
-            raise ValidationError(("the empty event's ranking is fixed; do not list it",))
+            raise ValidationError("the empty event's ranking is fixed; do not list it")
         full = self.space.full.mask
         for mask in self.tiers:
             if not 0 < mask <= full:
-                raise ValidationError((f"tier entry for a mask outside the powerset: {mask}",))
+                raise ValidationError(f"tier entry for a mask outside the powerset: {mask}")
         # the keys are masks in 1..full, so the count is exact, and the
         # first gap lies within len(tiers) + 1 of the start
         missing = full - len(self.tiers)
@@ -68,111 +60,66 @@ class TableBackedFamily:
             first = next(m for m in range(1, full + 1) if m not in self.tiers)
             label = ",".join(self.space.states[i] for i in Event(self.space, first).members)
             raise IncompleteTable(f"{missing} events have no ranking (first: {{{label}}})")
-        self._rank: dict[int, dict[str, int]] = {}
-        for mask, tiers in self.tiers.items():
-            self._rank[mask] = self._check_tiers(tiers, f"event mask {mask}")
-        self._uncond_rank = self._check_tiers(self.unconditional, "unconditional entry")
         self._name_by_assignment = {act.assignment: name for name, act in self.acts.items()}
-        self._partitions: dict[int, tuple[frozenset[str], ...]] = {}
+        # the oracle: per event mask, act assignment -> minus the tier
+        # index; the empty event ties every act
+        self._scores = {
+            mask: self._compile(tiers, f"event mask {mask}") for mask, tiers in self.tiers.items()
+        }
+        self._scores[0] = dict.fromkeys(self._name_by_assignment, 0)
+        self._uncond = self._compile(self.unconditional, "unconditional entry")
 
-    def _check_tiers(self, tiers: Tiers, where: str) -> dict[str, int]:
-        rank: dict[str, int] = {}
+    def _compile(self, tiers: Tiers, where: str) -> dict[tuple[int, ...], int]:
+        depth_of: dict[str, int] = {}
         for depth, tier in enumerate(tiers):
+            if not tier:
+                raise ValidationError(f"{where}: tier {depth + 1} is empty")
             for name in tier:
                 if name not in self.acts:
-                    raise ValidationError((f"{where}: unknown act {name!r}",))
-                if name in rank:
+                    raise ValidationError(f"{where}: unknown act {name!r}")
+                if name in depth_of:
                     raise ValidationError(
-                        (f"{where}: act {name!r} sits in two tiers (not a preorder)",)
+                        f"{where}: act {name!r} sits in two tiers (not a preorder)"
                     )
-                rank[name] = depth
-        if len(rank) != len(self.acts):
-            some = next(iter(set(self.acts) - set(rank)))
+                depth_of[name] = depth
+        if len(depth_of) != len(self.acts):
+            some = next(iter(set(self.acts) - set(depth_of)))
             raise IncompleteTable(f"{where}: act {some!r} is unranked")
-        return rank
-
-    # -- lookups -------------------------------------------------------
+        return {act.assignment: -depth_of[name] for name, act in self.acts.items()}
 
     def act_items(self) -> list[tuple[str, Act]]:
         return list(self.acts.items())
 
-    def name_of(self, f: Act | str) -> str:
-        if isinstance(f, str):
-            if f not in self.acts:
-                raise IncompleteTable(f"unknown act name {f!r}")
-            return f
+    def name_of(self, f: Act) -> str:
         name = self._name_by_assignment.get(f.assignment)
         if name is None:
             raise IncompleteTable(f"table lists no act equal to {f!r}")
         return name
 
-    def has_act(self, f: Act) -> bool:
-        return f.assignment in self._name_by_assignment
-
-    def prefer_at(self, a: Event, f: Act | str, g: Act | str):
-        if a.space != self.space:
-            raise SpaceMismatch("event over a different state space")
-        if a.is_empty:
-            return DEGENERATE
-        rank = self._rank[a.mask]
-        return Ordering.from_difference(rank[self.name_of(g)] - rank[self.name_of(f)])
-
-    def unconditional_compare(self, f: Act | str, g: Act | str) -> Ordering:
-        r = self._uncond_rank
-        return Ordering.from_difference(r[self.name_of(g)] - r[self.name_of(f)])
-
     # -- the rank oracle: minus tier indices, None for unlisted acts ----
 
     def score(self, mask: int, x: tuple[int, ...]) -> int | None:
-        name = self._name_by_assignment.get(x)
-        return None if name is None else -self._rank[mask][name]
+        return self._scores[mask].get(x)
 
     def uncond_key(self, x: tuple[int, ...]) -> int | None:
-        name = self._name_by_assignment.get(x)
-        return None if name is None else -self._uncond_rank[name]
+        return self._uncond.get(x)
 
-    def signature(self, mask: int) -> tuple[frozenset[str], ...]:
-        """The ranking as an ordered partition, built once per event; the
-        empty event's is the single all-acts block."""
-        got = self._partitions.get(mask)
-        if got is None:
-            tiers = self.tiers[mask] if mask else (tuple(self.acts),)
-            got = self._partitions[mask] = tuple(frozenset(t) for t in tiers)
-        return got
-
-    def partition_at(self, a: Event) -> tuple[frozenset[str], ...]:
-        return self.signature(a.mask)
-
-    def agreement(self, a: Event, b: Event) -> bool:
-        return self.partition_at(a) == self.partition_at(b)
-
-    def constant_acts(self) -> dict[str, str]:
-        """outcome label -> name of the constant act yielding it."""
-        out: dict[str, str] = {}
-        for name, act in self.acts.items():
-            if act.is_constant():
-                label = self.outcome_space.outcomes[act.assignment[0]]
-                out.setdefault(label, name)
-        return out
+    def signature(self, mask: int) -> dict[tuple[int, ...], int]:
+        """The compiled scores: tiers are nonempty, so equal scores mean
+        equal rankings."""
+        return self._scores[mask]
 
     def __eq__(self, other: object) -> bool:
         """Entry-for-entry equality of the rankings (tier-internal listing
         order is presentation, not content)."""
         if not isinstance(other, TableBackedFamily):
             return NotImplemented
-        if (self.space, self.outcome_space) != (other.space, other.outcome_space):
-            return False
-        if {n: a.assignment for n, a in self.acts.items()} != {
-            n: a.assignment for n, a in other.acts.items()
-        }:
-            return False
-        if tuple(frozenset(t) for t in self.unconditional) != tuple(
-            frozenset(t) for t in other.unconditional
-        ):
-            return False
-        return all(
-            self.partition_at(ev) == other.partition_at(ev)
-            for ev in self.space.all_events()
+        return (
+            (self.space, self.outcome_space) == (other.space, other.outcome_space)
+            and {n: a.assignment for n, a in self.acts.items()}
+            == {n: a.assignment for n, a in other.acts.items()}
+            and self._uncond == other._uncond
+            and self._scores == other._scores
         )
 
 
@@ -192,15 +139,6 @@ class ModelBackedFamily:
 
     def act_items(self) -> list[tuple[str, Act]]:
         return [(f"f{i}", act) for i, act in enumerate(enumerate_acts(self.space, self.outcome_space))]
-
-    def prefer_at(self, a: Event, f: Act, g: Act):
-        return indexed_prefer(self.model, a, f, g)
-
-    def unconditional_compare(self, f: Act, g: Act) -> Ordering:
-        return lex_prefer(self.model, f, g).ordering
-
-    def agreement(self, a: Event, b: Event) -> bool:
-        return agreement(self.model, a, b)
 
     # -- the rank oracle, read off the compiled kernel ------------------
 

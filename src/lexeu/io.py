@@ -272,8 +272,13 @@ def table_from_dict(data: dict, where: str = "table") -> TableBackedFamily:
         raise ParseError(f"{where}: 'prefs' must be an object keyed by events")
     names = set(acts)
     tiers: dict[int, Tiers] = {}
+    key_of: dict[int, str] = {}
     for key, raw in prefs.items():
         event = event_from_key(space, key, where=f"{where}: prefs")
+        if event.mask in key_of:
+            first = key_of[event.mask]
+            raise ParseError(f"{where}: prefs keys {first!r} and {key!r} name the same event")
+        key_of[event.mask] = key
         if event.is_empty:
             if raw != "degenerate":
                 raise ParseError(f'{where}: the empty-event entry must be "degenerate"')

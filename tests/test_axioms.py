@@ -272,8 +272,14 @@ def test_planted_defect_is_caught(axiom_id):
     else:
         assert report.status is AxiomStatus.VIOLATED
     assert report.witnesses
-    witness = report.witnesses[0]
-    assert replay_witness(table, axiom_id, witness) is False
+    # the gate's single-axiom path is the suite's; every witness of every
+    # checker replays, which reaches each QP clause and both kinds of SE
+    # witness on these tables
+    suite = check_all(table, budget=20_000)
+    assert suite.report(axiom_id) == report
+    for r in suite.reports:
+        for witness in r.witnesses:
+            assert replay_witness(table, r.axiom_id, witness) is False, (r.axiom_id, witness)
 
 
 def test_defect_tables_fail_check_all():

@@ -103,6 +103,30 @@ def test_malformed_labels_exit_2(files, capsys, tmp_path, kind, key, labels):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "key, at", [("s1,s2,s3,s4", 1), ("s4", None)], ids=["second-tier", "trailing-tier"]
+)
+def test_empty_tier_exit_2(files, capsys, tmp_path, key, at):
+    raw = json.loads(open(files["table"]).read())
+    ranking = raw["prefs"][key]
+    ranking.insert(len(ranking) if at is None else at, [])
+    path = tmp_path / "empty_tier.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "synthesize", str(path))
+    assert code == 2
+    assert "is empty" in err
+
+
+def test_event_under_two_keys_exit_2(files, capsys, tmp_path):
+    raw = json.loads(open(files["table"]).read())
+    raw["prefs"]["s2,s1"] = raw["prefs"]["s1,s2"]
+    path = tmp_path / "two_keys.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "synthesize", str(path))
+    assert code == 2
+    assert "'s1,s2' and 's2,s1' name the same event" in err
+
+
 def test_exponent_rational_exit_2_without_hanging(files, tmp_path):
     # Fraction("1e999999999") would build a billion-digit integer; run it in
     # a child so that a regression fails on the timeout instead of hanging

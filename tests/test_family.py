@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from lexeu.acts import constant_act
+from lexeu.axioms import _Fam
 from lexeu.errors import IncompleteTable, ValidationError
-from lexeu.events import Event
 from lexeu.family import ModelBackedFamily, TableBackedFamily, derive_table
 from lexeu.preference import DEGENERATE, indexed_prefer, lex_prefer
 
@@ -27,47 +28,56 @@ def test_table_matches_model_on_events(m0, m0_table):
     rng = random.Random(71)
     names = list(m0_table.acts)
     pairs = [tuple(rng.sample(names, 2)) for _ in range(250)]
+    # both families through the view the axiom checkers read them by
+    views = _Fam(m0_table), _Fam(ModelBackedFamily(m0))
     for event in m0.space.all_events():
         for fname, gname in pairs:
             f, g = m0_table.acts[fname], m0_table.acts[gname]
-            assert m0_table.prefer_at(event, fname, gname) == indexed_prefer(m0, event, f, g)
+            expected = indexed_prefer(m0, event, f, g)
+            for view in views:
+                assert view.cmp(event.mask, f.assignment, g.assignment) == expected
 
 
 def test_table_matches_model_unconditionally(m0, m0_table):
     rng = random.Random(72)
     names = list(m0_table.acts)
+    views = _Fam(m0_table), _Fam(ModelBackedFamily(m0))
     for _ in range(400):
         fname, gname = rng.sample(names, 2)
         f, g = m0_table.acts[fname], m0_table.acts[gname]
-        assert m0_table.unconditional_compare(fname, gname) == lex_prefer(m0, f, g).ordering
+        expected = lex_prefer(m0, f, g).ordering
+        for view in views:
+            assert view.uncond(f.assignment, g.assignment) == expected
 
 
 def test_table_agreement_matches_model(m0, m0_table):
     fam = ModelBackedFamily(m0)
-    events = [Event(m0.space, mask) for mask in range(16)]
-    for a in events:
-        for b in events:
-            assert m0_table.agreement(a, b) == fam.agreement(a, b)
+    masks = range(16)
+    for a in masks:
+        for b in masks:
+            assert (m0_table.signature(a) == m0_table.signature(b)) == (
+                fam.signature(a) == fam.signature(b)
+            )
 
 
 def test_empty_event_is_degenerate(m0, m0_table):
-    f = m0_table.acts["f0"]
-    g = m0_table.acts["f80"]
-    assert m0_table.prefer_at(m0.space.empty, f, g) is DEGENERATE
-    assert ModelBackedFamily(m0).prefer_at(m0.space.empty, f, g) is DEGENERATE
+    x = m0_table.acts["f0"].assignment
+    y = m0_table.acts["f80"].assignment
+    assert _Fam(m0_table).cmp(0, x, y) is DEGENERATE
+    assert _Fam(ModelBackedFamily(m0)).cmp(0, x, y) is DEGENERATE
+    # the table's empty event ties every act
+    assert set(m0_table.signature(0).values()) == {0}
 
 
 def test_name_lookup(m0_table):
     act = m0_table.acts["f41"]
     assert m0_table.name_of(act) == "f41"
-    assert m0_table.has_act(act)
 
 
 def test_constant_acts_present(m0_table):
-    constants = m0_table.constant_acts()
-    assert set(constants) == {"a", "b", "c"}
-    assert constants["a"] == "f0"
-    assert constants["c"] == "f80"
+    space, ospace = m0_table.space, m0_table.outcome_space
+    named = {o: m0_table.name_of(constant_act(o, space, ospace)) for o in "abc"}
+    assert named == {"a": "f0", "b": "f40", "c": "f80"}
 
 
 def _tiny_table(**overrides):
@@ -93,6 +103,21 @@ def test_rejects_duplicate_rank():
     broken[first] = broken[first] + ((name,),)
     with pytest.raises(ValidationError, match="two tiers"):
         _tiny_table(tiers=broken)
+
+
+@pytest.mark.parametrize("at", [1, -1], ids=["second", "trailing"])
+def test_rejects_empty_tier(at):
+    base = _tiny_table()
+    broken = dict(base.tiers)
+    full = max(broken)
+    tiers = list(broken[full])
+    tiers.insert(at if at > 0 else len(tiers), ())
+    broken[full] = tuple(tiers)
+    where = at + 1 if at > 0 else len(tiers)
+    with pytest.raises(ValidationError, match=f"event mask {full}: tier {where} is empty"):
+        _tiny_table(tiers=broken)
+    with pytest.raises(ValidationError, match="unconditional entry: tier 1 is empty"):
+        _tiny_table(unconditional=((),) + base.unconditional)
 
 
 def test_rejects_unknown_act():
@@ -159,6 +184,15 @@ def test_equality_sees_swapped_tiers(m0_table):
         unconditional=m0_table.unconditional,
     )
     assert other != m0_table
+    u = m0_table.unconditional
+    only_uncond = TableBackedFamily(
+        space=m0_table.space,
+        outcome_space=m0_table.outcome_space,
+        acts=dict(m0_table.acts),
+        tiers=dict(m0_table.tiers),
+        unconditional=(u[1], u[0]) + u[2:],
+    )
+    assert only_uncond != m0_table
 
 
 def test_tables_of_random_models_match(m0):
@@ -166,12 +200,12 @@ def test_tables_of_random_models_match(m0):
     for _ in range(5):
         m = random_model(rng, n_min=2, n_max=3)
         table = derive_table(m)
-        fam = ModelBackedFamily(m)
+        views = _Fam(table), _Fam(ModelBackedFamily(m))
         names = [n for n, _ in table.act_items()]
         for event in m.space.all_events():
             if event.is_empty:
                 continue
             for i, fname in enumerate(names):
                 for gname in names[i + 1 :]:
-                    f, g = table.acts[fname], table.acts[gname]
-                    assert table.prefer_at(event, f, g) == fam.prefer_at(event, f, g)
+                    x, y = table.acts[fname].assignment, table.acts[gname].assignment
+                    assert views[0].cmp(event.mask, x, y) == views[1].cmp(event.mask, x, y)

@@ -182,6 +182,16 @@ def test_empty_event_entry_must_read_degenerate():
         io.table_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "first, second", [("s1", "s1,s1"), ("s1,s2", "s2,s1")], ids=["repeated-label", "reordered"]
+)
+def test_table_event_under_two_keys(first, second):
+    raw = io.table_to_dict(derive_table(flat2()))
+    raw["prefs"][second] = list(reversed(raw["prefs"][first]))
+    with pytest.raises(ParseError, match=f"'{first}' and '{second}' name the same event"):
+        io.table_from_dict(raw)
+
+
 def test_table_without_any_unconditional_source():
     raw = io.table_to_dict(derive_table(flat2()))
     del raw["unconditional"]
