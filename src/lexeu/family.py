@@ -60,7 +60,13 @@ class TableBackedFamily:
             first = next(m for m in range(1, full + 1) if m not in self.tiers)
             label = ",".join(self.space.states[i] for i in Event(self.space, first).members)
             raise IncompleteTable(f"{missing} events have no ranking (first: {{{label}}})")
-        self._name_by_assignment = {act.assignment: name for name, act in self.acts.items()}
+        # the oracle is keyed by assignment, so two names for one act would
+        # leave one name's rankings unread
+        self._name_by_assignment: dict[tuple[int, ...], str] = {}
+        for name, act in self.acts.items():
+            first = self._name_by_assignment.setdefault(act.assignment, name)
+            if first != name:
+                raise ValidationError(f"acts {first!r} and {name!r} have the same assignment")
         # the oracle: per event mask, act assignment -> minus the tier
         # index; the empty event ties every act
         self._scores = {

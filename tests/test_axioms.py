@@ -1,24 +1,32 @@
 """Axiom suite: clean families pass, tampered tables are caught."""
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_m0, random_model
-from lexeu.acts import OutcomeSpace
+from lexeu.acts import OutcomeSpace, compose, constant_act
 from lexeu.axioms import (
     AXIOM_IDS,
+    CORE_IDS,
     PAIR_SAMPLE_FLOOR,
     AxiomReport,
     AxiomStatus,
+    _Fam,
+    _order,
     check_all,
     check_axiom,
     replay_witness,
 )
-from lexeu.events import StateSpace
+from lexeu.events import Event, StateSpace
 from lexeu.family import ModelBackedFamily, TableBackedFamily, derive_table
 from lexeu.model import GsleuModel, Level
+from lexeu.preference import DEGENERATE
+from lexeu.synthesis import _prize_constants
 
 
 def flat2() -> GsleuModel:
@@ -105,8 +113,6 @@ def test_m0_p6_informational_with_atomic_failures(m0):
 
 
 def test_p4_honours_its_budget(m0):
-    import random
-
     model = random_model(random.Random(11), 6, 6)
     report = check_axiom(ModelBackedFamily(model), "P4.5", budget=1000)
     assert report.status is AxiomStatus.HOLDS
@@ -120,8 +126,6 @@ def test_p4_honours_its_budget(m0):
 
 
 def test_table_and_model_suites_agree():
-    import random
-
     rng = random.Random(4243)
     cases = [(flat2(), 20_000), (build_m0(), 20_000)]
     cases += [(random_model(rng, 2, 4), 4_000) for _ in range(6)]
@@ -133,8 +137,6 @@ def test_table_and_model_suites_agree():
 
 
 def test_random_models_pass():
-    import random
-
     rng = random.Random(4042)
     for _ in range(5):
         model = random_model(rng, n_max=5)
@@ -287,3 +289,191 @@ def test_defect_tables_fail_check_all():
     suite = check_all(table, budget=20_000)
     assert not suite.ok
     assert suite.report("P2.5").status is AxiomStatus.VIOLATED
+
+
+# -- exactness pins -----------------------------------------------------
+#
+# Whole core-suite reports on partial tables, recorded before the checkers
+# moved to per-act score caches and per-pair orderings; any change to
+# statuses, statistics (skipped composites included) or witness order
+# shows here.
+
+
+def _partial(model: GsleuModel, seed: int, share: float, swap: bool = False):
+    """The model's table cut to its constants, its bets and a seeded share
+    of the other acts; with swap, two adjacent tiers exchanged at one
+    seeded event."""
+    rng = random.Random(seed)
+    table = derive_table(model)
+    best, worst = _prize_constants(table)
+    keep = set()
+    for o in table.outcome_space.outcomes:
+        keep.add(table.name_of(constant_act(o, table.space, table.outcome_space)))
+    for m in range(table.space.full.mask + 1):
+        keep.add(table.name_of(compose(best, Event(table.space, m), worst)))
+    keep |= {name for name in table.acts if rng.random() < share}
+
+    def cut(tiers):
+        return tuple(
+            tuple(n for n in tier if n in keep) for tier in tiers if any(n in keep for n in tier)
+        )
+
+    tiers = {m: cut(t) for m, t in table.tiers.items()}
+    if swap:
+        mask = rng.choice(sorted(m for m, t in tiers.items() if len(t) >= 2))
+        entry = list(tiers[mask])
+        i = rng.randrange(len(entry) - 1)
+        entry[i], entry[i + 1] = entry[i + 1], entry[i]
+        tiers[mask] = tuple(entry)
+    acts = {n: a for n, a in table.acts.items() if n in keep}
+    return TableBackedFamily(table.space, table.outcome_space, acts, tiers, cut(table.unconditional))
+
+
+def _digest(suite) -> list:
+    return [
+        (
+            r.axiom_id,
+            r.status.value,
+            r.statistics,
+            [([e.mask for e in w.events], [a.assignment for a in w.acts], w.note) for w in r.witnesses],
+        )
+        for r in suite.reports
+    ]
+
+
+M0_PARTIAL = [
+    ("P0.5", "Holds", {"chain": 3, "instances": 300, "pair_regime": "exhaustive"}, []),
+    ("P1.5",
+     "Holds",
+     {"h_regime": "exhaustive",
+      "instances": 19875,
+      "pair_regime": "sample(53)",
+      "skipped_missing_composites": 9212},
+     []),
+    ("P2.5", "Holds", {"instances": 19926, "pair_regime": "sample(246)"}, []),
+    ("P3.5", "Holds", {"instances": 45, "pair_regime": "exhaustive"}, []),
+    ("P4.5",
+     "Holds",
+     {"instances": 5616, "prize_pairs": 3, "skipped_missing_composites": 6852},
+     []),
+    ("P5.5", "Holds", {"instances": 1}, []),
+    ("SE", "Holds", {"chain": 3, "instances": 64, "vacuous_inner": 0}, []),
+]
+
+R3_PARTIAL = [
+    ("P0.5", "Holds", {"chain": 1, "instances": 91, "pair_regime": "exhaustive"}, []),
+    ("P1.5",
+     "Holds",
+     {"h_regime": "exhaustive",
+      "instances": 8918,
+      "pair_regime": "exhaustive",
+      "skipped_missing_composites": 2521},
+     []),
+    ("P2.5", "Holds", {"instances": 2457, "pair_regime": "exhaustive"}, []),
+    ("P3.5", "Holds", {"instances": 21, "pair_regime": "exhaustive"}, []),
+    ("P4.5",
+     "Holds",
+     {"instances": 1116, "prize_pairs": 3, "skipped_missing_composites": 1212},
+     []),
+    ("P5.5", "Holds", {"instances": 1}, []),
+    ("SE", "Holds", {"chain": 1, "instances": 16, "vacuous_inner": 0}, []),
+]
+
+R3_SWAP = [
+    ("P0.5",
+     "Violated",
+     {"chain": 2, "instances": 105, "pair_regime": "exhaustive"},
+     [([7, 1], [(0, 0, 0), (0, 1, 0)], "lexicographic rule mismatch"),
+      ([7, 1], [(1, 0, 2), (1, 1, 2)], "lexicographic rule mismatch"),
+      ([7, 1], [(1, 0, 2), (1, 2, 2)], "lexicographic rule mismatch"),
+      ([7, 1], [(1, 1, 1), (1, 2, 1)], "lexicographic rule mismatch"),
+      ([7, 1], [(1, 1, 2), (1, 2, 2)], "lexicographic rule mismatch")]),
+    ("P1.5",
+     "Holds",
+     {"h_regime": "exhaustive",
+      "instances": 11025,
+      "pair_regime": "exhaustive",
+      "skipped_missing_composites": 3356},
+     []),
+    ("P2.5",
+     "Violated",
+     {"instances": 2835, "pair_regime": "exhaustive"},
+     [([5, 4], [(0, 0, 0), (0, 0, 2)], "sure-thing failure"),
+      ([5, 4], [(0, 0, 0), (2, 0, 2)], "sure-thing failure"),
+      ([5, 4], [(0, 0, 0), (2, 1, 2)], "sure-thing failure"),
+      ([5, 4], [(0, 0, 0), (2, 2, 2)], "sure-thing failure"),
+      ([5, 4], [(0, 0, 2), (0, 1, 0)], "sure-thing failure")]),
+    ("P3.5",
+     "Violated",
+     {"instances": 21, "pair_regime": "exhaustive"},
+     [([5], [(0, 0, 0), (2, 2, 2)], "constants reordered by the event")]),
+    ("P4.5",
+     "Violated",
+     {"instances": 1116, "prize_pairs": 3, "skipped_missing_composites": 1164},
+     [([5, 5, 0],
+       [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 0)],
+       "bet order depends on the prize"),
+      ([5, 5, 0],
+       [(2, 2, 2), (1, 1, 1), (2, 2, 2), (0, 0, 0)],
+       "bet order depends on the prize"),
+      ([5, 4, 0],
+       [(2, 2, 2), (1, 1, 1), (2, 2, 2), (0, 0, 0)],
+       "bet order depends on the prize"),
+      ([5, 0, 5],
+       [(2, 2, 2), (0, 0, 0), (0, 0, 0), (1, 1, 1)],
+       "bet order depends on the prize"),
+      ([5, 0, 5],
+       [(2, 2, 2), (0, 0, 0), (2, 2, 2), (1, 1, 1)],
+       "bet order depends on the prize")]),
+    ("P5.5", "Holds", {"instances": 1}, []),
+    ("SE",
+     "Violated",
+     {"chain": 2, "instances": 24, "vacuous_inner": 0},
+     [([3, 7, 1], [], "separating subfamily misses an event"),
+      ([5, 1], [], "chain event neither null nor total at A")]),
+]
+
+PARTIAL_PINS = {
+    "m0": (lambda: _partial(build_m0(), 1, 0.2), M0_PARTIAL),
+    "random3": (lambda: _partial(random_model(random.Random(23), 3, 3), 2, 0.3), R3_PARTIAL),
+    "random3-swap": (
+        lambda: _partial(random_model(random.Random(5), 3, 3), 2, 0.3, swap=True),
+        R3_SWAP,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PARTIAL_PINS)
+def test_partial_table_core_reports_are_pinned(name):
+    make, expected = PARTIAL_PINS[name]
+    assert _digest(check_all(make(), 20_000, CORE_IDS)) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _cmp_families() -> tuple:
+    m0 = build_m0()
+    return (ModelBackedFamily(m0), derive_table(m0), _partial(m0, 1, 0.2), PARTIAL_PINS["random3"][0]())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cmp_is_the_order_of_the_oracle_scores(data):
+    family = data.draw(st.sampled_from(_cmp_families()))
+    fam = _Fam(family)
+    n, size = family.space.size, family.outcome_space.size
+    listed = [a.assignment for _, a in family.act_items()]
+    act = st.one_of(st.sampled_from(listed), st.tuples(*[st.integers(0, size - 1)] * n))
+    mask = st.integers(0, fam.full)
+    # one view across many comparisons, so cached scores are read back too
+    for m, x, y in data.draw(st.lists(st.tuples(mask, act, act), min_size=1, max_size=30)):
+        before = fam.skipped
+        got = fam.cmp(m, x, y)
+        assert fam.order(m, x, y) is got and fam.orders(x, y)[m] is got
+        if not m:
+            assert got is DEGENERATE and fam.skipped == before
+            continue
+        sx, sy = family.score(m, x), family.score(m, y)
+        if sx is None or sy is None:
+            assert got is None and fam.skipped == before + 1
+        else:
+            assert got is _order(sx, sy) and fam.skipped == before

@@ -127,6 +127,23 @@ def test_event_under_two_keys_exit_2(files, capsys, tmp_path):
     assert "'s1,s2' and 's2,s1' name the same event" in err
 
 
+def test_two_names_for_one_act_exit_2(files, capsys, tmp_path):
+    raw = json.loads(open(files["table"]).read())
+    f41 = next(a for a in raw["acts"] if a["name"] == "f41")
+    # ranked strictly best everywhere, which only the earlier name could show
+    raw["acts"].insert(0, {"name": "dup", "map": f41["map"]})
+    for key in raw["prefs"]:
+        if raw["prefs"][key] != "degenerate":
+            raw["prefs"][key].insert(0, ["dup"])
+    raw["unconditional"].insert(0, ["dup"])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "synthesize", str(path))
+    assert code == 2
+    assert out == ""
+    assert "acts 'dup' and 'f41' have the same assignment" in err
+
+
 def test_exponent_rational_exit_2_without_hanging(files, tmp_path):
     # Fraction("1e999999999") would build a billion-digit integer; run it in
     # a child so that a regression fails on the timeout instead of hanging

@@ -156,6 +156,18 @@ def test_empty_event_entry_rejected():
         _tiny_table(tiers=broken)
 
 
+def test_rejects_two_names_for_one_act():
+    base = _tiny_table()
+    name, act = next(iter(base.acts.items()))
+    # otherwise well formed: the copy is ranked, strictly last, everywhere
+    with pytest.raises(ValidationError, match=f"acts {name!r} and 'dup' have the same assignment"):
+        _tiny_table(
+            acts={**base.acts, "dup": act},
+            tiers={m: t + (("dup",),) for m, t in base.tiers.items()},
+            unconditional=base.unconditional + (("dup",),),
+        )
+
+
 def test_equality_ignores_listing_order_within_tiers(m0_table):
     reordered = {
         mask: tuple(tuple(reversed(t)) for t in tiers)
