@@ -6,6 +6,10 @@ quantifiers, or act pairs on larger models), the offending quantifier is
 restricted to a deterministic sample — all constants plus seeded random
 draws — and the report records which regime ran.  Violations carry
 witnesses that can be replayed one instance at a time.
+
+Inside this module an event is its mask and an act its assignment tuple.
+`Event`s and `Act`s appear only in witnesses: `_Fam.witness` builds them
+and `replay_witness` reads them back.
 """
 from __future__ import annotations
 
@@ -15,7 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .acts import Act, constant_act, splice
-from .events import Event, partition_masks
+from .caps import PARTITION_ENUM_CAP, check_state_count
+from .errors import CapExceeded
+from .events import Event, bell_number, partition_masks
 from .model import sign
 from .preference import DEGENERATE, Ordering, weakly_preferred
 
@@ -23,6 +29,8 @@ DEFAULT_BUDGET = 300_000
 MAX_WITNESSES = 5
 H_SAMPLE = 20
 PAIR_SAMPLE_FLOOR = 24
+
+Assignment = tuple[int, ...]
 
 
 class AxiomStatus(enum.Enum):
@@ -62,9 +70,7 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            r.status is not AxiomStatus.VIOLATED for r in self.reports
-        )
+        return all(r.status is not AxiomStatus.VIOLATED for r in self.reports)
 
 
 class _Fam:
@@ -78,22 +84,35 @@ class _Fam:
         self.family = family
         self.space = family.space
         self.outcome_space = family.outcome_space
-        self.full = self.space.full.mask
+        check_state_count(self.space.size)
+        self.full = self.space.full.mask  # also the number of nonempty events
         self.universe = family.act_items()
         self.constants = {
             o: constant_act(o, self.space, self.outcome_space)
             for o in self.outcome_space.outcomes
         }
+        # the quantifiers range over these assignments, in universe order
+        self.xs = [act.assignment for _, act in self.universe]
+        self.const_xs = [c.assignment for c in self.constants.values()]
+        # witness acts by assignment: the universe's own, else the constants
+        self._acts = dict(zip(self.const_xs, self.constants.values()))
+        self._acts.update(zip(self.xs, (act for _, act in self.universe)))
         self.skipped = 0
         # per act, its scores by mask, filled as they are asked for: a
         # composite that P1.5 or P4.5 meets once costs one entry, not 2^n
-        self._scores: dict[tuple[int, ...], dict[int, int | None]] = {}
-        self._keys: dict[tuple[int, ...], object] = {}
+        self._scores: dict[Assignment, dict[int, int | None]] = {}
+        self._keys: dict[Assignment, object] = {}
         self._null: dict[tuple[int, int], bool] = {}
+
+    def witness(self, masks: Iterable[int], xs: Iterable[Assignment], note: str) -> Witness:
+        """The reported form of one instance: Events for its masks, Acts
+        for its assignments."""
+        events = tuple(Event(self.space, m) for m in masks)
+        return Witness(events, tuple(self._acts[x] for x in xs), note)
 
     # -- comparisons ---------------------------------------------------
 
-    def score(self, mask: int, x: tuple[int, ...]) -> int | None:
+    def score(self, mask: int, x: Assignment) -> int | None:
         """The oracle's score of x at a nonempty event; only compared with
         scores at the same event.  None when a partial table lacks x."""
         row = self._scores.get(x)
@@ -104,7 +123,7 @@ class _Fam:
             got = row[mask] = self.family.score(mask, x)
         return got
 
-    def order(self, mask: int, x: tuple[int, ...], y: tuple[int, ...]):
+    def order(self, mask: int, x: Assignment, y: Assignment):
         """Ordering of x against y at the event; DEGENERATE for the empty
         event, None when the family's table does not list x or y.  Counts
         nothing: an instance that reads a None counts it."""
@@ -115,25 +134,25 @@ class _Fam:
             return None
         return _order(sx, sy)
 
-    def cmp(self, mask: int, x: tuple[int, ...], y: tuple[int, ...]):
+    def cmp(self, mask: int, x: Assignment, y: Assignment):
         """order(), counting a None as a skipped instance."""
         got = self.order(mask, x, y)
         if got is None:
             self.skipped += 1
         return got
 
-    def orders(self, x: tuple[int, ...], y: tuple[int, ...]) -> list:
+    def orders(self, x: Assignment, y: Assignment) -> list:
         """order() of x against y at every event, indexed by mask."""
         return [self.order(m, x, y) for m in range(self.full + 1)]
 
-    def uncond(self, x: tuple[int, ...], y: tuple[int, ...]):
+    def uncond(self, x: Assignment, y: Assignment):
         kx, ky = self._key(x), self._key(y)
         if kx is None or ky is None:
             self.skipped += 1
             return None
         return _order(kx, ky)
 
-    def _key(self, x: tuple[int, ...]):
+    def _key(self, x: Assignment):
         got = self._keys.get(x, _UNSEEN)
         if got is _UNSEEN:
             got = self._keys[x] = self.family.uncond_key(x)
@@ -157,65 +176,50 @@ class _Fam:
 
     # -- quantifier universes -------------------------------------------
 
-    def events(self) -> list[Event]:
-        """The nonempty events in mask order."""
-        return [ev for ev in self.space.all_events() if not ev.is_empty]
-
     def pair_universe(self, axiom_id: str, outer: int, budget: int,
-                      weight: int = 1) -> tuple[list[tuple[Act, Act]], str]:
+                      weight: int = 1) -> tuple[list[tuple[Assignment, Assignment]], str]:
         """Unordered act pairs: exhaustive when the instance count fits the
         budget, otherwise all constant pairs plus a seeded sample."""
-        acts = [a for _, a in self.universe]
+        acts = self.xs
         n = len(acts)
         total_pairs = n * (n - 1) // 2
         if total_pairs * max(outer, 1) * max(weight, 1) <= budget:
-            pairs = [
-                (acts[i], acts[j]) for i in range(n) for j in range(i + 1, n)
-            ]
-            return pairs, "exhaustive"
-        quota = max(budget // (max(outer, 1) * max(weight, 1)), PAIR_SAMPLE_FLOOR)
-        quota = min(quota, total_pairs)
-        consts = list(self.constants.values())
-        pairs = [
-            (consts[i], consts[j])
-            for i in range(len(consts))
-            for j in range(i + 1, len(consts))
-        ]
+            return [(acts[i], acts[j]) for i in range(n) for j in range(i + 1, n)], "exhaustive"
+        quota = min(max(budget // (max(outer, 1) * max(weight, 1)), PAIR_SAMPLE_FLOOR), total_pairs)
+        consts = self.const_xs
+        pairs = [(x, y) for i, x in enumerate(consts) for y in consts[i + 1 :]]
         rng = random.Random(f"{axiom_id}|{self.space.size}|{n}")
-        seen = {tuple(sorted((f.assignment, g.assignment))) for f, g in pairs}
+        seen = {tuple(sorted(pair)) for pair in pairs}
         while len(pairs) < quota:
-            f, g = rng.sample(acts, 2)
-            key = tuple(sorted((f.assignment, g.assignment)))
+            pair = tuple(rng.sample(acts, 2))
+            key = tuple(sorted(pair))
             if key not in seen:
                 seen.add(key)
-                pairs.append((f, g))
+                pairs.append(pair)
         return pairs, f"sample({len(pairs)})"
 
-    def h_universe(self, axiom_id: str, outer: int, budget: int) -> tuple[list[Act], str]:
-        acts = [a for _, a in self.universe]
+    def h_universe(self, axiom_id: str, outer: int, budget: int) -> tuple[list[Assignment], str]:
+        acts = self.xs
         if len(acts) * max(outer, 1) <= budget:
             return acts, "exhaustive"
         rng = random.Random(f"{axiom_id}:h:{self.space.size}:{len(acts)}")
-        sample = list(self.constants.values())
-        seen = {a.assignment for a in sample}
-        while len(sample) < len(self.constants) + H_SAMPLE and len(sample) < len(acts):
+        sample = list(self.const_xs)
+        seen = set(sample)
+        while len(sample) < len(self.const_xs) + H_SAMPLE and len(sample) < len(acts):
             h = rng.choice(acts)
-            if h.assignment not in seen:
-                seen.add(h.assignment)
+            if h not in seen:
+                seen.add(h)
                 sample.append(h)
-        return sample, f"constants+{len(sample) - len(self.constants)}"
+        return sample, f"constants+{len(sample) - len(self.const_xs)}"
 
-    def canonical_chain(self) -> tuple[Event, ...] | None:
+    def canonical_chain(self) -> tuple[int, ...] | None:
         """Nested top events derived from nullity alone: peel off, at each
         stage, the singletons whose removal changes the stage's ranking."""
         chain = []
         rest = self.full
         while rest:
-            chain.append(Event(self.space, rest))
-            live = 0
-            for i in chain[-1].members:
-                if not self.null_at(1 << i, rest):
-                    live |= 1 << i
+            chain.append(rest)
+            live = sum(1 << i for i in _members(rest) if not self.null_at(1 << i, rest))
             if not live:
                 return None
             rest &= ~live
@@ -240,16 +244,31 @@ def _strict(o) -> bool:
     return o is Ordering.STRICTLY_PREFER
 
 
+def _members(mask: int) -> list[int]:
+    """The state indices in the mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _submasks(mask: int) -> list[int]:
+    out = []
+    sub = mask
+    while True:
+        out.append(sub)
+        if sub == 0:
+            return out
+        sub = (sub - 1) & mask
+
+
 # -- per-instance evaluators ----------------------------------------------
 #
 # Each returns True when the instance satisfies the axiom; checkers and
-# witness replay share them.  A None comparison (composite missing from a
-# partial table) counts as vacuously satisfied and is tallied separately.
+# witness replay share them.  Events are masks and acts are assignments.
+# A None comparison (composite missing from a partial table) counts as
+# vacuously satisfied and is tallied separately.
 
 
-def _eval_p0(fam: _Fam, chain: tuple[Event, ...], f: Act, g: Act) -> bool:
-    x, y = f.assignment, g.assignment
-    signs = [fam.cmp(e.mask, x, y) for e in chain]
+def _eval_p0(fam: _Fam, chain: tuple[int, ...], x: Assignment, y: Assignment) -> bool:
+    signs = [fam.cmp(e, x, y) for e in chain]
     if any(s is None for s in signs):
         return True
     u = fam.uncond(x, y)
@@ -260,8 +279,7 @@ def _eval_p0(fam: _Fam, chain: tuple[Event, ...], f: Act, g: Act) -> bool:
     return (_weak(u) == forward) and (_weak(u.flip()) == backward)
 
 
-def _eval_p1(fam: _Fam, m: int, base, x: tuple[int, ...], y: tuple[int, ...],
-             z: tuple[int, ...]) -> bool:
+def _eval_p1(fam: _Fam, m: int, base, x: Assignment, y: Assignment, z: Assignment) -> bool:
     """base: x against y at m, which does not depend on z."""
     moved = fam.order(m, splice(x, m, z), splice(y, m, z))
     if base is None or moved is None:
@@ -295,28 +313,25 @@ def _eval_p2(fam: _Fam, at, a: int, b: int) -> bool:
     return True
 
 
-def _eval_p3(fam: _Fam, a: Event, f: Act, g: Act) -> bool:
-    here = fam.cmp(a.mask, f.assignment, g.assignment)
-    at_s = fam.cmp(fam.full, f.assignment, g.assignment)
+def _eval_p3(fam: _Fam, a: int, x: Assignment, y: Assignment) -> bool:
+    here = fam.cmp(a, x, y)
+    at_s = fam.cmp(fam.full, x, y)
     if here is None or at_s is None:
         return True
     return here == at_s
 
 
-def _eval_p4(
-    fam: _Fam, a: Event, b: Event, c: Event, f: Act, fp: Act, g: Act, gp: Act
-) -> bool:
-    bm, cm = b.mask, c.mask
-    x, xp, y, yp = f.assignment, fp.assignment, g.assignment, gp.assignment
-    first = fam.cmp(a.mask, splice(x, bm, xp), splice(x, cm, xp))
-    second = fam.cmp(a.mask, splice(y, bm, yp), splice(y, cm, yp))
+def _eval_p4(fam: _Fam, a: int, b: int, c: int, x: Assignment, xp: Assignment,
+             y: Assignment, yp: Assignment) -> bool:
+    first = fam.cmp(a, splice(x, b, xp), splice(x, c, xp))
+    second = fam.cmp(a, splice(y, b, yp), splice(y, c, yp))
     if first is None or second is None:
         return True
     return not (_weak(first) and not _weak(second))
 
 
 def _eval_p5(fam: _Fam) -> bool:
-    consts = [c.assignment for c in fam.constants.values()]
+    consts = fam.const_xs
     return any(
         _strict(fam.cmp(fam.full, x, y)) or _strict(fam.cmp(fam.full, y, x))
         for i, x in enumerate(consts)
@@ -324,61 +339,51 @@ def _eval_p5(fam: _Fam) -> bool:
     )
 
 
-def _eval_p6(fam: _Fam, a: Event, f: Act, g: Act, h: Act) -> bool:
-    m, x, y, z = a.mask, f.assignment, g.assignment, h.assignment
-    if not _strict(fam.cmp(m, x, y)):
+def _eval_p6(fam: _Fam, a: int, x: Assignment, y: Assignment, z: Assignment) -> bool:
+    if not _strict(fam.cmp(a, x, y)):
         return True
-    for cells in partition_masks(a.members):
+    for cells in partition_masks(_members(a)):
         if all(
-            _strict(fam.cmp(m, x, splice(z, cell, y)))
-            and _strict(fam.cmp(m, splice(z, cell, x), y))
+            _strict(fam.cmp(a, x, splice(z, cell, y)))
+            and _strict(fam.cmp(a, splice(z, cell, x), y))
             for cell in cells
         ):
             return True
     return False
 
 
-def _eval_se_first(fam: _Fam, chain: tuple[Event, ...], b: Event) -> bool:
-    premise = all(
-        fam.agreement(e.mask, e.mask & ~b.mask)
-        for e in chain
-        if b.is_subset(e)
-    )
+def _eval_se_first(fam: _Fam, chain: tuple[int, ...], b: int) -> bool:
+    premise = all(fam.agreement(e, e & ~b) for e in chain if b & e == b)
     if not premise:
         return True
-    return all(
-        fam.agreement(a.mask, a.mask & ~b.mask)
-        for a in fam.space.all_events()
-        if b.is_subset(a)
-    )
+    return all(fam.agreement(a, a & ~b) for a in range(fam.full + 1) if b & a == b)
 
 
-def _eval_se_second(fam: _Fam, a: Event, e: Event) -> bool:
-    if not e.is_subset(a):
+def _eval_se_second(fam: _Fam, a: int, e: int) -> bool:
+    if e & a != e:
         return True
-    return fam.agreement(a.mask, a.mask & ~e.mask) or fam.agreement(a.mask, e.mask)
+    return fam.agreement(a, a & ~e) or fam.agreement(a, e)
 
 
-def _eval_nullity(fam: _Fam, a: Event, b: Event, c: Event) -> bool:
-    am, bm, cm = a.mask, b.mask, c.mask
-    if fam.null_at(bm, am) and not fam.null_at(cm, am):
+def _eval_nullity(fam: _Fam, a: int, b: int, c: int) -> bool:
+    if fam.null_at(b, a) and not fam.null_at(c, a):
         return False
-    if fam.null_at(cm, am) and fam.null_at(bm & ~cm, am) and not fam.null_at(bm, am):
+    if fam.null_at(c, a) and fam.null_at(b & ~c, a) and not fam.null_at(b, a):
         return False
-    if fam.null_at(cm, bm) and not fam.null_at(cm, am):
+    if fam.null_at(c, b) and not fam.null_at(c, a):
         return False
     return True
 
 
-def _eval_dominance(fam: _Fam, a: Event, b: Event, c: Event) -> bool:
-    return not (fam.gg(a.mask, b.mask) and fam.gg(b.mask, c.mask) and not fam.gg(a.mask, c.mask))
+def _eval_dominance(fam: _Fam, a: int, b: int, c: int) -> bool:
+    return not (fam.gg(a, b) and fam.gg(b, c) and not fam.gg(a, c))
 
 
 _BET_CACHE_NOTE = "bets use the best and worst constants at S"
 
 
 def _qp_masses(
-    fam: _Fam, at: int, within: int, best: tuple[int, ...], worst: tuple[int, ...]
+    fam: _Fam, at: int, within: int, best: Assignment, worst: Assignment
 ) -> dict[int, int] | None:
     """Scores, at the event `at`, of the bets (best prize on the subevent,
     worst off it) on every subevent of `within`; higher means more
@@ -410,98 +415,84 @@ def _report(axiom_id, failures, stats, informational=False) -> AxiomReport:
     return AxiomReport(axiom_id, status, tuple(failures[:MAX_WITNESSES]), stats)
 
 
+def _no_chain(fam: _Fam, axiom_id: str) -> AxiomReport:
+    """The report of a chain-indexed axiom when nullity derives no chain."""
+    w = fam.witness((fam.full,), (), "no nullity-derived chain exists")
+    return _report(axiom_id, [w], {"instances": 0})
+
+
 def _check_p0(fam: _Fam, budget: int) -> AxiomReport:
     chain = fam.canonical_chain()
     if chain is None:
-        w = Witness((fam.space.full,), (), "no nullity-derived chain exists")
-        return AxiomReport("P0.5", AxiomStatus.VIOLATED, (w,), {"instances": 0})
+        return _no_chain(fam, "P0.5")
     pairs, regime = fam.pair_universe("P0.5", len(chain) + 1, budget)
-    failures = []
-    for f, g in pairs:
-        if not _eval_p0(fam, chain, f, g):
-            failures.append(Witness(chain, (f, g), "lexicographic rule mismatch"))
+    failures = [
+        fam.witness(chain, pair, "lexicographic rule mismatch")
+        for pair in pairs
+        if not _eval_p0(fam, chain, *pair)
+    ]
     stats = {"instances": len(pairs), "pair_regime": regime, "chain": len(chain)}
     return _report("P0.5", failures, stats)
 
 
 def _check_p1(fam: _Fam, budget: int) -> AxiomReport:
-    events = fam.events()
-    hs, h_regime = fam.h_universe("P1.5", len(events) * PAIR_SAMPLE_FLOOR, budget)
-    pairs, regime = fam.pair_universe("P1.5", len(events) * len(hs), budget)
+    hs, h_regime = fam.h_universe("P1.5", fam.full * PAIR_SAMPLE_FLOOR, budget)
+    pairs, regime = fam.pair_universe("P1.5", fam.full * len(hs), budget)
     failures = []
-    for a in events:
-        m = a.mask
-        for f, g in pairs:
-            x, y = f.assignment, g.assignment
+    for m in range(1, fam.full + 1):
+        for x, y in pairs:
             base = fam.order(m, x, y)
-            for h in hs:
-                if not _eval_p1(fam, m, base, x, y, h.assignment):
-                    failures.append(Witness((a,), (f, g, h), "composition changed the ranking"))
-    count = len(events) * len(pairs) * len(hs)
+            for z in hs:
+                if not _eval_p1(fam, m, base, x, y, z):
+                    w = fam.witness((m,), (x, y, z), "composition changed the ranking")
+                    failures.append(w)
+    count = fam.full * len(pairs) * len(hs)
     stats = {"instances": count, "pair_regime": regime, "h_regime": h_regime}
     return _report("P1.5", failures, stats)
 
 
 def _check_p2(fam: _Fam, budget: int) -> AxiomReport:
-    spans = [
-        (a, Event(fam.space, b))
-        for a in fam.space.all_events()
-        for b in _submasks(a.mask)
-    ]
+    spans = [(a, b) for a in range(fam.full + 1) for b in _submasks(a)]
     pairs, regime = fam.pair_universe("P2.5", len(spans), budget)
     # the spans visit every mask, so each pair's orderings are read in full
-    orders = [fam.orders(f.assignment, g.assignment) for f, g in pairs]
-    failures = []
-    for a, b in spans:
-        for (f, g), at in zip(pairs, orders):
-            if not _eval_p2(fam, at, a.mask, b.mask):
-                failures.append(Witness((a, b), (f, g), "sure-thing failure"))
+    orders = [fam.orders(x, y) for x, y in pairs]
+    failures = [
+        fam.witness((a, b), pair, "sure-thing failure")
+        for a, b in spans
+        for pair, at in zip(pairs, orders)
+        if not _eval_p2(fam, at, a, b)
+    ]
     stats = {"instances": len(spans) * len(pairs), "pair_regime": regime}
     return _report("P2.5", failures, stats)
 
 
-def _submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & mask
-
-
 def _check_p3(fam: _Fam, budget: int) -> AxiomReport:
-    consts = list(fam.constants.values())
-    failures = []
-    count = 0
-    for a in fam.events():
-        for i, f in enumerate(consts):
-            for g in consts[i + 1 :]:
-                count += 1
-                if not _eval_p3(fam, a, f, g):
-                    failures.append(Witness((a,), (f, g), "constants reordered by the event"))
-    return _report("P3.5", failures, {"instances": count, "pair_regime": "exhaustive"})
+    consts = fam.const_xs
+    pairs = [(x, y) for i, x in enumerate(consts) for y in consts[i + 1 :]]
+    failures = [
+        fam.witness((a,), pair, "constants reordered by the event")
+        for a in range(1, fam.full + 1)
+        for pair in pairs
+        if not _eval_p3(fam, a, *pair)
+    ]
+    stats = {"instances": fam.full * len(pairs), "pair_regime": "exhaustive"}
+    return _report("P3.5", failures, stats)
 
 
 def _check_p4(fam: _Fam, budget: int) -> AxiomReport:
-    consts = list(fam.constants.values())
+    consts = fam.const_xs
     # tied prizes make the premise vacuous and the implication absurd, so
     # only strictly ordered constant pairs are quantified over
-    prize_pairs = [
-        (x, y) for x in consts for y in consts
-        if _strict(fam.cmp(fam.full, x.assignment, y.assignment))
-    ]
+    prize_pairs = [(x, y) for x in consts for y in consts if _strict(fam.cmp(fam.full, x, y))]
     spans, regime = _bet_spans(fam, len(prize_pairs) ** 2, budget)
     failures = []
     count = 0
-    for a, b, c in spans:
-        for f, fp in prize_pairs:
-            for g, gp in prize_pairs:
+    for span in spans:
+        for f in prize_pairs:
+            for g in prize_pairs:
                 count += 1
-                if not _eval_p4(fam, a, b, c, f, fp, g, gp):
-                    failures.append(
-                        Witness((a, b, c), (f, fp, g, gp), "bet order depends on the prize")
-                    )
+                if not _eval_p4(fam, *span, *f, *g):
+                    failures.append(fam.witness(span, f + g, "bet order depends on the prize"))
     stats = {"instances": count, "prize_pairs": len(prize_pairs)}
     if regime != "exhaustive":
         stats["pair_regime"] = regime
@@ -509,20 +500,16 @@ def _check_p4(fam: _Fam, budget: int) -> AxiomReport:
 
 
 def _bet_spans(fam: _Fam, weight: int, budget: int):
-    """Event triples (A, B, C), B and C subevents of a nonempty A: all of
+    """Mask triples (A, B, C), B and C subevents of a nonempty A: all of
     them when weight times their number fits the budget, otherwise a seeded
     sample of max(budget // weight, PAIR_SAMPLE_FLOOR) distinct triples."""
     n = fam.space.size
     total = 5**n - 1  # each state is off A, or on A and in B, C, both or neither
     if weight * total <= budget:
-        spans = (
-            (a, Event(fam.space, b), Event(fam.space, c))
-            for a in fam.events()
-            for b in _submasks(a.mask)
-            for c in _submasks(a.mask)
-        )
-        return spans, "exhaustive"
-    quota = min(max(budget // weight, PAIR_SAMPLE_FLOOR), total)
+        masks = range(1, fam.full + 1)
+        return ((a, b, c) for a in masks for b in _submasks(a) for c in _submasks(a)), "exhaustive"
+    # the weight is 0 when P4.5 has no prize pairs; its sample is then unread
+    quota = min(max(budget // max(weight, 1), PAIR_SAMPLE_FLOOR), total)
     rng = random.Random(f"P4.5|{n}")
     seen: set[tuple[int, int, int]] = set()
     while len(seen) < quota:
@@ -535,40 +522,38 @@ def _bet_spans(fam: _Fam, weight: int, budget: int):
                 c |= (r >> 1 & 1) << i
         if a:
             seen.add((a, b, c))
-    spans = [tuple(Event(fam.space, m) for m in t) for t in sorted(seen)]
+    spans = sorted(seen)
     return spans, f"sample({len(spans)})"
 
 
 def _check_p5(fam: _Fam, budget: int) -> AxiomReport:
     ok = _eval_p5(fam)
-    consts = tuple(fam.constants.values())
-    failures = (
-        []
-        if ok
-        else [Witness((fam.space.full,), consts, "all constant acts tie at S")]
-    )
+    failures = [] if ok else [fam.witness((fam.full,), fam.const_xs, "all constant acts tie at S")]
     return _report("P5.5", failures, {"instances": 1})
 
 
 def _check_p6(fam: _Fam, budget: int) -> AxiomReport:
-    events = fam.events()
-    consts = list(fam.constants.values())
+    n = fam.space.size
+    # an instance at S searches up to Bell(n) partitions
+    if bell_number(n) > PARTITION_ENUM_CAP:
+        msg = f"P6.5 partition search over {n} states exceeds cap"
+        raise CapExceeded(msg, needed=bell_number(n), cap=PARTITION_ENUM_CAP)
+    consts = fam.const_xs
     # partition search makes each instance heavy, so the pair budget is
     # charged a per-instance weight up front
-    pairs, regime = fam.pair_universe(
-        "P6.5", len(events) * max(len(consts), 1), budget, weight=40
-    )
+    pairs, regime = fam.pair_universe("P6.5", fam.full * max(len(consts), 1), budget, weight=40)
     no_partition = []
     count = 0
-    for a in events:
+    for a in range(1, fam.full + 1):
         for f, g in pairs:
             for x, y in ((f, g), (g, f)):
-                if not _strict(fam.cmp(a.mask, x.assignment, y.assignment)):
+                if not _strict(fam.cmp(a, x, y)):
                     continue
-                for h in consts:
+                for z in consts:
                     count += 1
-                    if not _eval_p6(fam, a, x, y, h):
-                        no_partition.append(Witness((a,), (x, y, h), "no separating partition"))
+                    if not _eval_p6(fam, a, x, y, z):
+                        w = fam.witness((a,), (x, y, z), "no separating partition")
+                        no_partition.append(w)
     stats = {"instances": count, "pair_regime": regime, "failures": len(no_partition)}
     return _report("P6.5", no_partition, stats, informational=True)
 
@@ -576,67 +561,54 @@ def _check_p6(fam: _Fam, budget: int) -> AxiomReport:
 def _check_se(fam: _Fam, budget: int) -> AxiomReport:
     chain = fam.canonical_chain()
     if chain is None:
-        w = Witness((fam.space.full,), (), "no nullity-derived chain exists")
-        return AxiomReport("SE", AxiomStatus.VIOLATED, (w,), {"instances": 0})
+        return _no_chain(fam, "SE")
     failures = []
     vacuous = 0
     count = 0
-    for b in fam.space.all_events():
+    for b in range(fam.full + 1):
         count += 1
-        if not any(b.is_subset(e) for e in chain):
+        if not any(b & e == b for e in chain):
             vacuous += 1
             continue
         if not _eval_se_first(fam, chain, b):
-            failures.append(Witness((b,) + chain, (), "separating subfamily misses an event"))
-    for a in fam.space.all_events():
+            failures.append(fam.witness((b,) + chain, (), "separating subfamily misses an event"))
+    for a in range(fam.full + 1):
         for e in chain:
             count += 1
             if not _eval_se_second(fam, a, e):
-                failures.append(Witness((a, e), (), "chain event neither null nor total at A"))
+                failures.append(fam.witness((a, e), (), "chain event neither null nor total at A"))
     stats = {"instances": count, "vacuous_inner": vacuous, "chain": len(chain)}
     return _report("SE", failures, stats)
 
 
 def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
     best, worst = _prize_pair(fam)
+    if best is None:
+        w = fam.witness((fam.full,), fam.const_xs, "no strict constant pair")
+        return _report("QP", [w], {"instances": 0})
+    prizes = (best.assignment, worst.assignment)
     failures = []
     count = 0
-    if best is None:
-        w = Witness((fam.space.full,), tuple(fam.constants.values()), "no strict constant pair")
-        return AxiomReport("QP", AxiomStatus.VIOLATED, (w,), {"instances": 0})
-    for a in fam.events():
-        scores = _qp_masses(fam, a.mask, a.mask, best.assignment, worst.assignment)
+    for a in range(1, fam.full + 1):
+        scores = _qp_masses(fam, a, a, *prizes)
         if scores is None:
             continue
         # ranked tiers are a weak order by construction; positivity and
         # additivity are the live clauses
-        for b_mask in _submasks(a.mask):
-            count += 1
-            if scores[b_mask] < scores[0]:
-                failures.append(
-                    Witness((a, Event(fam.space, b_mask)), (best, worst), "bet below the empty bet")
-                )
-        count += 1
-        if not scores[a.mask] > scores[0]:
-            failures.append(Witness((a,), (best, worst), "the sure bet does not beat the empty bet"))
-        for b_mask in _submasks(a.mask):
-            for c_mask in _submasks(a.mask):
-                free = a.mask & ~(b_mask | c_mask)
-                for d_mask in _submasks(free):
+        subs = _submasks(a)
+        count += len(subs) + 1
+        for b in subs:
+            if scores[b] < scores[0]:
+                failures.append(fam.witness((a, b), prizes, "bet below the empty bet"))
+        if not scores[a] > scores[0]:
+            failures.append(fam.witness((a,), prizes, "the sure bet does not beat the empty bet"))
+        for b in subs:
+            for c in subs:
+                for d in _submasks(a & ~(b | c)):
                     count += 1
-                    if not _eval_qp_additivity(scores, b_mask, c_mask, d_mask):
-                        failures.append(
-                            Witness(
-                                (
-                                    a,
-                                    Event(fam.space, b_mask),
-                                    Event(fam.space, c_mask),
-                                    Event(fam.space, d_mask),
-                                ),
-                                (best, worst),
-                                "disjoint union broke the bet order",
-                            )
-                        )
+                    if not _eval_qp_additivity(scores, b, c, d):
+                        w = fam.witness((a, b, c, d), prizes, "disjoint union broke the bet order")
+                        failures.append(w)
     stats = {"instances": count, "note": _BET_CACHE_NOTE}
     return _report("QP", failures, stats)
 
@@ -661,32 +633,28 @@ def _prize_pair(fam: _Fam) -> tuple[Act | None, Act | None]:
 
 
 def _check_nullity(fam: _Fam, budget: int) -> AxiomReport:
-    failures = []
-    count = 0
-    for a in fam.space.all_events():
-        for b_mask in _submasks(a.mask):
-            b = Event(fam.space, b_mask)
-            for c_mask in _submasks(b_mask):
-                c = Event(fam.space, c_mask)
-                count += 1
-                if not _eval_nullity(fam, a, b, c):
-                    failures.append(Witness((a, b, c), (), "nullity lattice law failed"))
-    return _report("NULLITY", failures, {"instances": count})
+    failures = [
+        fam.witness((a, b, c), (), "nullity lattice law failed")
+        for a in range(fam.full + 1)
+        for b in _submasks(a)
+        for c in _submasks(b)
+        if not _eval_nullity(fam, a, b, c)
+    ]
+    # each state is off A, or on A and off B, or in B - C, or in C
+    return _report("NULLITY", failures, {"instances": 4**fam.space.size})
 
 
 def _check_dominance(fam: _Fam, budget: int) -> AxiomReport:
-    failures = []
-    count = 0
-    events = list(fam.space.all_events())
-    succ: dict[int, list[Event]] = {}
-    for a in events:
-        succ[a.mask] = [b for b in events if fam.gg(a.mask, b.mask)]
-    for a in events:
-        for b in succ[a.mask]:
-            for c in succ[b.mask]:
-                count += 1
-                if not fam.gg(a.mask, c.mask):
-                    failures.append(Witness((a, b, c), (), "dominance is not transitive"))
+    events = range(fam.full + 1)
+    succ = {a: [b for b in events if fam.gg(a, b)] for a in events}
+    failures = [
+        fam.witness((a, b, c), (), "dominance is not transitive")
+        for a in events
+        for b in succ[a]
+        for c in succ[b]
+        if not _eval_dominance(fam, a, b, c)
+    ]
+    count = sum(len(succ[b]) for a in events for b in succ[a])
     return _report("DOMINANCE", failures, {"instances": count})
 
 
@@ -732,47 +700,44 @@ def check_all(
 def replay_witness(family, axiom_id: str, witness: Witness) -> bool:
     """Re-evaluate one reported instance; False reproduces the violation."""
     fam = _Fam(family)
-    ev, acts = witness.events, witness.acts
+    ev = [e.mask for e in witness.events]
+    xs = [act.assignment for act in witness.acts]
     if axiom_id == "P0.5":
         chain = fam.canonical_chain()
-        if chain is None:
-            return False
-        return _eval_p0(fam, chain, *acts)
+        return chain is not None and _eval_p0(fam, chain, *xs)
     if axiom_id == "P1.5":
-        m = ev[0].mask
-        x, y, z = (act.assignment for act in acts)
+        (m,), (x, y, z) = ev, xs
         return _eval_p1(fam, m, fam.order(m, x, y), x, y, z)
     if axiom_id == "P2.5":
-        a, b = ev[0].mask, ev[1].mask
-        x, y = (act.assignment for act in acts)
+        (a, b), (x, y) = ev, xs
         return _eval_p2(fam, {m: fam.order(m, x, y) for m in (b, a & ~b, a)}, a, b)
     if axiom_id == "P3.5":
-        return _eval_p3(fam, ev[0], *acts)
+        return _eval_p3(fam, ev[0], *xs)
     if axiom_id == "P4.5":
-        return _eval_p4(fam, ev[0], ev[1], ev[2], *acts)
+        return _eval_p4(fam, *ev, *xs)
     if axiom_id == "P5.5":
         return _eval_p5(fam)
     if axiom_id == "P6.5":
-        return _eval_p6(fam, ev[0], *acts)
+        return _eval_p6(fam, ev[0], *xs)
     if axiom_id == "SE":
         chain = fam.canonical_chain()
         if chain is None:
             return False
         if len(ev) == 2 and not witness.note.startswith("separating"):
-            return _eval_se_second(fam, ev[0], ev[1])
+            return _eval_se_second(fam, *ev)
         return _eval_se_first(fam, chain, ev[0])
     if axiom_id == "QP":
         best, worst = _prize_pair(fam)
         if best is None:
             return False
-        scores = _qp_masses(fam, ev[0].mask, ev[0].mask, best.assignment, worst.assignment)
+        scores = _qp_masses(fam, ev[0], ev[0], best.assignment, worst.assignment)
         if scores is None:
             return True
         if len(ev) == 1:
-            return scores[ev[0].mask] > scores[0]
+            return scores[ev[0]] > scores[0]
         if len(ev) == 2:
-            return scores[ev[1].mask] >= scores[0]
-        return _eval_qp_additivity(scores, ev[1].mask, ev[2].mask, ev[3].mask)
+            return scores[ev[1]] >= scores[0]
+        return _eval_qp_additivity(scores, *ev[1:])
     if axiom_id == "NULLITY":
         return _eval_nullity(fam, *ev)
     if axiom_id == "DOMINANCE":

@@ -1,9 +1,9 @@
 """Enumeration caps.
 
-Full enumeration of acts (m^n) and of the event powerset (2^n) is central to
-the exhaustive checks, so both are guarded.  The act cap can be overridden
-with the LEXEU_CAP environment variable, or by an explicit cap passed to
-enumerate_acts.
+Full enumeration of acts (m^n), of the event powerset (2^n) and of one
+event's partitions (Bell(|A|)) is central to the exhaustive checks, so all
+three are guarded.  The act cap can be overridden with the LEXEU_CAP
+environment variable, or by an explicit cap passed to enumerate_acts.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from .errors import CapExceeded
 
 DEFAULT_ACT_CAP = 100_000
 DEFAULT_STATE_CAP = 16  # max |S| for powerset enumeration (2^16 events)
+PARTITION_ENUM_CAP = 20_000  # max Bell(|A|) for a partition search of one event
 
 
 def act_cap() -> int:

@@ -52,6 +52,17 @@ def _rat(q: Fraction) -> str:
     return f"{q} ({float(q):.6g})"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below, like any count under 1
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _set(event: Event) -> str:
     return "{" + ", ".join(event.labels) + "}"
 
@@ -424,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("axioms", cmd_axioms, "run the axiom suite on a model")
     p.add_argument("model")
     p.add_argument("--suite", choices=("core", "all"), default="core")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="per-axiom instance budget (default: library default)")
 
     p = add("derive-table", cmd_derive_table, "emit the full preference table of a model")

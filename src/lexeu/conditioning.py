@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .acts import Act, enumerate_acts, splice
+from .caps import PARTITION_ENUM_CAP
 from .errors import CapExceeded, EmptyEvent
 from .events import Event, Partition, bell_number
 from .model import GsleuModel
@@ -24,8 +25,6 @@ from .preference import (
     _check_event,
     indexed_prefer,
 )
-
-PARTITION_ENUM_CAP = 20_000
 
 
 def savage_conditional(m: GsleuModel, a: Event, f: Act, g: Act) -> LexVerdict:

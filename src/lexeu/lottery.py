@@ -176,6 +176,8 @@ def calibration_weight(
     Solves one linear equation at the event's class; endpoints must be
     strictly ranked.
     """
+    if any(l.outcome_space != m.outcome_space for l in (target, hi, lo)):
+        raise SpaceMismatch("lottery over a different outcome space")
     k = class_of(m, a)
     if k is None:
         raise EmptyEvent("calibration needs a nonempty event")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from lexeu.axioms import (
     check_axiom,
     replay_witness,
 )
+from lexeu.errors import CapExceeded
 from lexeu.events import Event, StateSpace
 from lexeu.family import ModelBackedFamily, TableBackedFamily, derive_table
 from lexeu.model import GsleuModel, Level
@@ -123,6 +125,38 @@ def test_p4_honours_its_budget(m0):
     assert check_axiom(ModelBackedFamily(m0), "P4.5") == AxiomReport(
         "P4.5", AxiomStatus.HOLDS, (), {"instances": 5616, "prize_pairs": 3}
     )
+
+
+def uniform(n: int) -> GsleuModel:
+    """n equally likely states in one level, two outcomes."""
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    ospace = OutcomeSpace(("a", "b"))
+    level = Level.from_mappings(
+        space, ospace, space.states,
+        {s: F(1, n) for s in space.states},
+        {"a": F(0), "b": F(1)},
+    )
+    return GsleuModel(space, ospace, (level,))
+
+
+def test_p6_partition_search_is_capped_before_it_starts():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        check_axiom(ModelBackedFamily(uniform(9)), "P6.5")
+    assert time.perf_counter() - start < 2
+    # Bell(9) partitions of S against the cap that strong conditioning uses
+    assert (info.value.needed, info.value.cap) == (21147, 20_000)
+
+
+@pytest.mark.parametrize("budget", [-1, 0])
+def test_non_positive_budget_runs_every_checker(budget):
+    # no strictly ranked prizes: P4.5 weighs each span by 0 prize pairs
+    table = DEFECTS["P5.5"]()
+    report = check_axiom(table, "P4.5", budget=budget)
+    assert report.status is AxiomStatus.HOLDS
+    assert report.statistics["instances"] == 0
+    for axiom_id in AXIOM_IDS:
+        assert check_axiom(table, axiom_id, budget=budget).axiom_id == axiom_id
 
 
 def test_table_and_model_suites_agree():
@@ -477,3 +511,44 @@ def test_cmp_is_the_order_of_the_oracle_scores(data):
             assert got is None and fam.skipped == before + 1
         else:
             assert got is _order(sx, sy) and fam.skipped == before
+
+
+# Each planted defect's own report at budget 20,000: status, statistics, and
+# the first witness's event masks, act assignments and note.
+DEFECT_PINS = {
+    "P0.5": ("Violated", {"instances": 36, "pair_regime": "exhaustive", "chain": 1},
+             ([3], [(0, 0), (0, 1)], "lexicographic rule mismatch")),
+    "P1.5": ("Violated",
+             {"instances": 972, "pair_regime": "exhaustive", "h_regime": "exhaustive"},
+             ([1], [(0, 0), (0, 1), (0, 0)], "composition changed the ranking")),
+    "P2.5": ("Violated", {"instances": 324, "pair_regime": "exhaustive"},
+             ([3, 2], [(0, 0), (0, 1)], "sure-thing failure")),
+    "P3.5": ("Violated", {"instances": 9, "pair_regime": "exhaustive"},
+             ([1], [(0, 0), (1, 1)], "constants reordered by the event")),
+    "P4.5": ("Violated", {"instances": 216, "prize_pairs": 3},
+             ([3, 2, 1], [(1, 1), (0, 0), (2, 2), (0, 0)], "bet order depends on the prize")),
+    "P5.5": ("Violated", {"instances": 1},
+             ([3], [(0, 0), (1, 1), (2, 2)], "all constant acts tie at S")),
+    "P6.5": ("Informational", {"instances": 264, "pair_regime": "exhaustive", "failures": 216},
+             ([1], [(1, 0), (0, 0), (0, 0)], "no separating partition")),
+    "SE": ("Violated", {"instances": 24, "vacuous_inner": 0, "chain": 2},
+           ([5, 4], [], "chain event neither null nor total at A")),
+    "QP": ("Violated", {"instances": 46, "note": "bets use the best and worst constants at S"},
+           ([3, 1, 0, 2], [(2, 2), (0, 0)], "disjoint union broke the bet order")),
+    "NULLITY": ("Violated", {"instances": 64},
+                ([7, 6, 4], [], "nullity lattice law failed")),
+    "DOMINANCE": ("Violated", {"instances": 12},
+                  ([1, 2, 4], [], "dominance is not transitive")),
+}
+
+
+@pytest.mark.parametrize("axiom_id", AXIOM_IDS)
+def test_defect_reports_are_pinned(axiom_id):
+    report = check_axiom(DEFECTS[axiom_id](), axiom_id, budget=20_000)
+    first = report.witnesses[0]
+    got = (
+        report.status.value,
+        report.statistics,
+        ([e.mask for e in first.events], [a.assignment for a in first.acts], first.note),
+    )
+    assert got == DEFECT_PINS[axiom_id]

@@ -325,6 +325,14 @@ def test_axioms_full_suite(files, capsys):
     assert all(r["status"] in ("Holds", "Informational") for r in payload["reports"])
 
 
+@pytest.mark.parametrize("budget", ["0", "-1", "x", "1.5"])
+def test_axioms_budget_below_one_exit_2(files, capsys, budget):
+    with pytest.raises(SystemExit) as info:
+        main(["axioms", files["model"], "--budget", budget])
+    assert info.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_derive_table_stdout_parses(files, capsys):
     code, out, _ = run(capsys, "derive-table", files["model"])
     assert code == 0

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import act_of, build_m0, ev, random_model
-from lexeu.acts import compose, constant_act, enumerate_acts
-from lexeu.errors import AtomGranularity, NotNormalized
+from lexeu.acts import OutcomeSpace, compose, constant_act, enumerate_acts
+from lexeu.errors import AtomGranularity, NotNormalized, SpaceMismatch
 from lexeu.events import Event
 from lexeu.lottery import (
     Lottery,
@@ -128,6 +128,16 @@ def test_calibration_weight_unique():
     assert lottery_compare(M0, M0.space.full, mixed, lot(b=1)) is Ordering.INDIFFERENT
     with pytest.raises(ValueError):
         calibration_weight(M0, M0.space.full, lot(b=1), lot(a=1), lot(a=1))
+
+
+@pytest.mark.parametrize("outcomes", [("x", "y", "z"), ("a", "b")])
+def test_calibration_weight_rejects_a_foreign_lottery(outcomes):
+    # same size as M0's outcomes, or smaller: never read as M0's utilities
+    foreign = Lottery.from_weights(OutcomeSpace(outcomes), {outcomes[-1]: F(1)})
+    for args in ((foreign, lot(c=1), lot(a=1)), (lot(b=1), foreign, lot(a=1)),
+                 (lot(b=1), lot(c=1), foreign)):
+        with pytest.raises(SpaceMismatch):
+            calibration_weight(M0, M0.space.full, *args)
 
 
 def test_mixture_monotonicity():
