@@ -405,20 +405,23 @@ def _eval_qp_additivity(scores: dict[int, int], b: int, c: int, d: int) -> bool:
 # -- checkers ---------------------------------------------------------------
 
 
-def _report(axiom_id, failures, stats, informational=False) -> AxiomReport:
+def _report(fam: _Fam, axiom_id, failures, stats, informational=False) -> AxiomReport:
+    """failures lists each failing instance as (masks, assignments, note);
+    only the first MAX_WITNESSES become Witnesses."""
     if informational:
         status = AxiomStatus.INFORMATIONAL
     elif failures:
         status = AxiomStatus.VIOLATED
     else:
         status = AxiomStatus.HOLDS
-    return AxiomReport(axiom_id, status, tuple(failures[:MAX_WITNESSES]), stats)
+    witnesses = tuple(fam.witness(*f) for f in failures[:MAX_WITNESSES])
+    return AxiomReport(axiom_id, status, witnesses, stats)
 
 
 def _no_chain(fam: _Fam, axiom_id: str) -> AxiomReport:
     """The report of a chain-indexed axiom when nullity derives no chain."""
-    w = fam.witness((fam.full,), (), "no nullity-derived chain exists")
-    return _report(axiom_id, [w], {"instances": 0})
+    w = ((fam.full,), (), "no nullity-derived chain exists")
+    return _report(fam, axiom_id, [w], {"instances": 0})
 
 
 def _check_p0(fam: _Fam, budget: int) -> AxiomReport:
@@ -427,12 +430,12 @@ def _check_p0(fam: _Fam, budget: int) -> AxiomReport:
         return _no_chain(fam, "P0.5")
     pairs, regime = fam.pair_universe("P0.5", len(chain) + 1, budget)
     failures = [
-        fam.witness(chain, pair, "lexicographic rule mismatch")
+        (chain, pair, "lexicographic rule mismatch")
         for pair in pairs
         if not _eval_p0(fam, chain, *pair)
     ]
     stats = {"instances": len(pairs), "pair_regime": regime, "chain": len(chain)}
-    return _report("P0.5", failures, stats)
+    return _report(fam, "P0.5", failures, stats)
 
 
 def _check_p1(fam: _Fam, budget: int) -> AxiomReport:
@@ -444,11 +447,10 @@ def _check_p1(fam: _Fam, budget: int) -> AxiomReport:
             base = fam.order(m, x, y)
             for z in hs:
                 if not _eval_p1(fam, m, base, x, y, z):
-                    w = fam.witness((m,), (x, y, z), "composition changed the ranking")
-                    failures.append(w)
+                    failures.append(((m,), (x, y, z), "composition changed the ranking"))
     count = fam.full * len(pairs) * len(hs)
     stats = {"instances": count, "pair_regime": regime, "h_regime": h_regime}
-    return _report("P1.5", failures, stats)
+    return _report(fam, "P1.5", failures, stats)
 
 
 def _check_p2(fam: _Fam, budget: int) -> AxiomReport:
@@ -457,26 +459,26 @@ def _check_p2(fam: _Fam, budget: int) -> AxiomReport:
     # the spans visit every mask, so each pair's orderings are read in full
     orders = [fam.orders(x, y) for x, y in pairs]
     failures = [
-        fam.witness((a, b), pair, "sure-thing failure")
+        ((a, b), pair, "sure-thing failure")
         for a, b in spans
         for pair, at in zip(pairs, orders)
         if not _eval_p2(fam, at, a, b)
     ]
     stats = {"instances": len(spans) * len(pairs), "pair_regime": regime}
-    return _report("P2.5", failures, stats)
+    return _report(fam, "P2.5", failures, stats)
 
 
 def _check_p3(fam: _Fam, budget: int) -> AxiomReport:
     consts = fam.const_xs
     pairs = [(x, y) for i, x in enumerate(consts) for y in consts[i + 1 :]]
     failures = [
-        fam.witness((a,), pair, "constants reordered by the event")
+        ((a,), pair, "constants reordered by the event")
         for a in range(1, fam.full + 1)
         for pair in pairs
         if not _eval_p3(fam, a, *pair)
     ]
     stats = {"instances": fam.full * len(pairs), "pair_regime": "exhaustive"}
-    return _report("P3.5", failures, stats)
+    return _report(fam, "P3.5", failures, stats)
 
 
 def _check_p4(fam: _Fam, budget: int) -> AxiomReport:
@@ -484,7 +486,9 @@ def _check_p4(fam: _Fam, budget: int) -> AxiomReport:
     # tied prizes make the premise vacuous and the implication absurd, so
     # only strictly ordered constant pairs are quantified over
     prize_pairs = [(x, y) for x in consts for y in consts if _strict(fam.cmp(fam.full, x, y))]
-    spans, regime = _bet_spans(fam, len(prize_pairs) ** 2, budget)
+    spans, regime = (), "exhaustive"
+    if prize_pairs:  # without one no span holds an instance, so none is walked
+        spans, regime = _bet_spans(fam, len(prize_pairs) ** 2, budget)
     failures = []
     count = 0
     for span in spans:
@@ -492,11 +496,11 @@ def _check_p4(fam: _Fam, budget: int) -> AxiomReport:
             for g in prize_pairs:
                 count += 1
                 if not _eval_p4(fam, *span, *f, *g):
-                    failures.append(fam.witness(span, f + g, "bet order depends on the prize"))
+                    failures.append((span, f + g, "bet order depends on the prize"))
     stats = {"instances": count, "prize_pairs": len(prize_pairs)}
     if regime != "exhaustive":
         stats["pair_regime"] = regime
-    return _report("P4.5", failures, stats)
+    return _report(fam, "P4.5", failures, stats)
 
 
 def _bet_spans(fam: _Fam, weight: int, budget: int):
@@ -508,8 +512,7 @@ def _bet_spans(fam: _Fam, weight: int, budget: int):
     if weight * total <= budget:
         masks = range(1, fam.full + 1)
         return ((a, b, c) for a in masks for b in _submasks(a) for c in _submasks(a)), "exhaustive"
-    # the weight is 0 when P4.5 has no prize pairs; its sample is then unread
-    quota = min(max(budget // max(weight, 1), PAIR_SAMPLE_FLOOR), total)
+    quota = min(max(budget // weight, PAIR_SAMPLE_FLOOR), total)
     rng = random.Random(f"P4.5|{n}")
     seen: set[tuple[int, int, int]] = set()
     while len(seen) < quota:
@@ -528,8 +531,8 @@ def _bet_spans(fam: _Fam, weight: int, budget: int):
 
 def _check_p5(fam: _Fam, budget: int) -> AxiomReport:
     ok = _eval_p5(fam)
-    failures = [] if ok else [fam.witness((fam.full,), fam.const_xs, "all constant acts tie at S")]
-    return _report("P5.5", failures, {"instances": 1})
+    failures = [] if ok else [((fam.full,), fam.const_xs, "all constant acts tie at S")]
+    return _report(fam, "P5.5", failures, {"instances": 1})
 
 
 def _check_p6(fam: _Fam, budget: int) -> AxiomReport:
@@ -552,10 +555,9 @@ def _check_p6(fam: _Fam, budget: int) -> AxiomReport:
                 for z in consts:
                     count += 1
                     if not _eval_p6(fam, a, x, y, z):
-                        w = fam.witness((a,), (x, y, z), "no separating partition")
-                        no_partition.append(w)
+                        no_partition.append(((a,), (x, y, z), "no separating partition"))
     stats = {"instances": count, "pair_regime": regime, "failures": len(no_partition)}
-    return _report("P6.5", no_partition, stats, informational=True)
+    return _report(fam, "P6.5", no_partition, stats, informational=True)
 
 
 def _check_se(fam: _Fam, budget: int) -> AxiomReport:
@@ -571,21 +573,21 @@ def _check_se(fam: _Fam, budget: int) -> AxiomReport:
             vacuous += 1
             continue
         if not _eval_se_first(fam, chain, b):
-            failures.append(fam.witness((b,) + chain, (), "separating subfamily misses an event"))
+            failures.append(((b,) + chain, (), "separating subfamily misses an event"))
     for a in range(fam.full + 1):
         for e in chain:
             count += 1
             if not _eval_se_second(fam, a, e):
-                failures.append(fam.witness((a, e), (), "chain event neither null nor total at A"))
+                failures.append(((a, e), (), "chain event neither null nor total at A"))
     stats = {"instances": count, "vacuous_inner": vacuous, "chain": len(chain)}
-    return _report("SE", failures, stats)
+    return _report(fam, "SE", failures, stats)
 
 
 def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
     best, worst = _prize_pair(fam)
     if best is None:
-        w = fam.witness((fam.full,), fam.const_xs, "no strict constant pair")
-        return _report("QP", [w], {"instances": 0})
+        w = ((fam.full,), fam.const_xs, "no strict constant pair")
+        return _report(fam, "QP", [w], {"instances": 0})
     prizes = (best.assignment, worst.assignment)
     failures = []
     count = 0
@@ -599,18 +601,18 @@ def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
         count += len(subs) + 1
         for b in subs:
             if scores[b] < scores[0]:
-                failures.append(fam.witness((a, b), prizes, "bet below the empty bet"))
+                failures.append(((a, b), prizes, "bet below the empty bet"))
         if not scores[a] > scores[0]:
-            failures.append(fam.witness((a,), prizes, "the sure bet does not beat the empty bet"))
+            failures.append(((a,), prizes, "the sure bet does not beat the empty bet"))
         for b in subs:
             for c in subs:
                 for d in _submasks(a & ~(b | c)):
                     count += 1
                     if not _eval_qp_additivity(scores, b, c, d):
-                        w = fam.witness((a, b, c, d), prizes, "disjoint union broke the bet order")
+                        w = ((a, b, c, d), prizes, "disjoint union broke the bet order")
                         failures.append(w)
     stats = {"instances": count, "note": _BET_CACHE_NOTE}
-    return _report("QP", failures, stats)
+    return _report(fam, "QP", failures, stats)
 
 
 def _prize_pair(fam: _Fam) -> tuple[Act | None, Act | None]:
@@ -634,28 +636,28 @@ def _prize_pair(fam: _Fam) -> tuple[Act | None, Act | None]:
 
 def _check_nullity(fam: _Fam, budget: int) -> AxiomReport:
     failures = [
-        fam.witness((a, b, c), (), "nullity lattice law failed")
+        ((a, b, c), (), "nullity lattice law failed")
         for a in range(fam.full + 1)
         for b in _submasks(a)
         for c in _submasks(b)
         if not _eval_nullity(fam, a, b, c)
     ]
     # each state is off A, or on A and off B, or in B - C, or in C
-    return _report("NULLITY", failures, {"instances": 4**fam.space.size})
+    return _report(fam, "NULLITY", failures, {"instances": 4**fam.space.size})
 
 
 def _check_dominance(fam: _Fam, budget: int) -> AxiomReport:
     events = range(fam.full + 1)
     succ = {a: [b for b in events if fam.gg(a, b)] for a in events}
     failures = [
-        fam.witness((a, b, c), (), "dominance is not transitive")
+        ((a, b, c), (), "dominance is not transitive")
         for a in events
         for b in succ[a]
         for c in succ[b]
         if not _eval_dominance(fam, a, b, c)
     ]
     count = sum(len(succ[b]) for a in events for b in succ[a])
-    return _report("DOMINANCE", failures, {"instances": count})
+    return _report(fam, "DOMINANCE", failures, {"instances": count})
 
 
 _CHECKERS: dict[str, Callable[[_Fam, int], AxiomReport]] = {

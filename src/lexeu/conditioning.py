@@ -13,17 +13,17 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .acts import Act, enumerate_acts, splice
+from .acts import Act, enumerate_acts
 from .caps import PARTITION_ENUM_CAP
 from .errors import CapExceeded, EmptyEvent
 from .events import Event, Partition, bell_number
+from .kernel import Kernel
 from .model import GsleuModel
 from .preference import (
     LexVerdict,
     Ordering,
     _check_act,
     _check_event,
-    indexed_prefer,
 )
 
 
@@ -58,17 +58,62 @@ class ConditioningVerdict:
             )
 
 
-def _lex_strict_with_delta(
-    base_hi: Sequence[int], base_lo: Sequence[int], delta_hi, delta_lo
-) -> bool:
-    """Is (base_hi + delta_hi) lexicographically above (base_lo + delta_lo)?"""
-    for bh, bl, dh, dl in zip(base_hi, base_lo, delta_hi, delta_lo):
-        d = (bh + dh) - (bl + dl)
-        if d > 0:
-            return True
-        if d < 0:
-            return False
+def _difference(kern: Kernel, mask: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Per level from the nonempty event's class on: the value of x minus
+    that of y on the event."""
+    k, _ = kern.event(mask)
+    steps, level = kern.steps, kern.level_of
+    diff = [0] * (kern.depth - k)
+    for i in kern.members(mask):
+        diff[level[i] - k] += steps[i][x[i]][y[i]]
+    return diff
+
+
+def _lex_positive(v: Sequence[int]) -> bool:
+    for d in v:
+        if d:
+            return d > 0
     return False
+
+
+def _strong_partitions(
+    kern: Kernel, mask: int, diff: list[int], x: Sequence[int], y: Sequence[int]
+) -> list[tuple[int, ...] | None]:
+    """Per constant c, best first: the first partition of the event
+    (singletons, then kern.partitions order) each of whose cells C keeps
+    diff + Σ steps[i][c][x[i]] and diff − Σ steps[i][c][y[i]], over i in C
+    at i's level, lexicographically positive.  diff is _difference(kern,
+    mask, x, y).  The list ends at the first constant with none, as None."""
+    k, _ = kern.event(mask)
+    steps, level, members = kern.steps, kern.level_of, kern.members
+    singles = tuple(1 << i for i in members(mask))
+    verdicts: dict[tuple[int, int], bool] = {}
+
+    def cell_ok(cell: int, c: int) -> bool:
+        ok = verdicts.get((cell, c))
+        if ok is None:
+            up, down = diff[:], diff[:]
+            for i in members(cell):
+                step = steps[i][c]
+                up[level[i] - k] += step[x[i]]
+                down[level[i] - k] -= step[y[i]]
+            ok = verdicts[cell, c] = _lex_positive(up) and _lex_positive(down)
+        return ok
+
+    found: list[tuple[int, ...] | None] = []
+    for c in kern.outcome_order:
+        part = singles if all(cell_ok(cell, c) for cell in singles) else None
+        if part is None and len(singles) > 1:
+            needed = bell_number(len(singles))
+            if needed > PARTITION_ENUM_CAP:
+                msg = f"partition search over {len(singles)} states exceeds cap"
+                raise CapExceeded(msg, needed=needed, cap=PARTITION_ENUM_CAP)
+            coarser = (p for p in kern.partitions(mask) if p != singles)
+            part = next((p for p in coarser if all(cell_ok(cell, c) for cell in p)), None)
+        found.append(part)
+        if part is None:
+            break
+    return found
 
 
 def strong_conditional_strict(
@@ -85,69 +130,28 @@ def strong_conditional_strict(
     k-on-cell(fAh) beats gAh and fAh beats k-on-cell(gAh), unconditionally
     and strictly.  Constants are tried best-first; partitions are searched
     singletons-first, then coarser ones in restricted-growth order.  The
-    verdict is independent of the filler act h (g by default).
+    verdict is independent of the filler act h (g by default): every
+    comparison is between composites that agree off the event, so only
+    their level differences on it count.
     """
     if a.is_empty:
         raise EmptyEvent("conditioning on the empty event")
     if h is None:
         h = g
     _check_act(m, h)
-    savage = savage_conditional(m, a, f, g)
-    if savage.ordering is not Ordering.STRICTLY_PREFER:
+    if savage_conditional(m, a, f, g).ordering is not Ordering.STRICTLY_PREFER:
         return ConditioningVerdict(False, False, None, None)
 
-    # Every comparison below is level by level between two composites, so
-    # the kernel's per-level scaling keeps each verdict exact.
     kern = m.kernel
-    fah = splice(f.assignment, a.mask, h.assignment)
-    gah = splice(g.assignment, a.mask, h.assignment)
-    v_f = kern.values(fah)
-    v_g = kern.values(gah)
-    zero = (0,) * m.depth
-    singles = tuple(1 << i for i in kern.members(a.mask))
-
-    verdicts: dict[tuple[int, int], bool] = {}
-
-    def cell_ok(cell: int, const_idx: int) -> bool:
-        key = (cell, const_idx)
-        ok = verdicts.get(key)
-        if ok is None:
-            up = kern.delta(cell, const_idx, fah)
-            ok = _lex_strict_with_delta(v_f, v_g, up, zero)
-            if ok:
-                down = kern.delta(cell, const_idx, gah)
-                ok = _lex_strict_with_delta(v_f, v_g, zero, down)
-            verdicts[key] = ok
-        return ok
-
-    def find_partition(const_idx: int) -> tuple[int, ...] | None:
-        if all(cell_ok(cell, const_idx) for cell in singles):
-            return singles
-        if a.size > 1:
-            if bell_number(a.size) > PARTITION_ENUM_CAP:
-                raise CapExceeded(
-                    f"partition search over {a.size} states exceeds cap",
-                    needed=bell_number(a.size),
-                    cap=PARTITION_ENUM_CAP,
-                )
-            for part in kern.partitions(a.mask):
-                if part == singles:
-                    continue
-                if all(cell_ok(cell, const_idx) for cell in part):
-                    return part
-        return None
-
-    witnesses: dict[str, Partition] = {}
-    coarse: list[str] = []
-    for o in kern.outcome_order:
-        label = m.outcome_space.outcomes[o]
-        found = find_partition(o)
-        if found is None:
-            return ConditioningVerdict(True, False, label, None)
-        witnesses[label] = tuple(Event(a.space, cell) for cell in found)
-        if found != singles:
-            coarse.append(label)
-    return ConditioningVerdict(True, True, None, witnesses, tuple(coarse))
+    x, y = f.assignment, g.assignment
+    found = _strong_partitions(kern, a.mask, _difference(kern, a.mask, x, y), x, y)
+    labels = [m.outcome_space.outcomes[o] for o in kern.outcome_order]
+    if found[-1] is None:
+        return ConditioningVerdict(True, False, labels[len(found) - 1], None)
+    cells = [tuple(Event(a.space, cell) for cell in part) for part in found]
+    witnesses = dict(zip(labels, cells))
+    coarse = tuple(label for label, part in zip(labels, found) if len(part) < a.size)
+    return ConditioningVerdict(True, True, None, witnesses, coarse)
 
 
 def fineness_holds(m: GsleuModel, a: Event, f: Act, g: Act) -> bool:
@@ -164,11 +168,15 @@ def fineness_holds(m: GsleuModel, a: Event, f: Act, g: Act) -> bool:
     if a.is_empty:
         raise EmptyEvent("fineness condition needs a nonempty event")
     kern = m.kernel
-    k, core = kern.event(a.mask)
-    utility = kern.util[k]
-    max_atom = max(kern.prob[k][i] for i in core)
     gap = kern.score(a.mask, f.assignment) - kern.score(a.mask, g.assignment)
-    return max_atom * (max(utility) - min(utility)) < abs(gap)
+    return _fineness_bound(kern, a.mask) < abs(gap)
+
+
+def _fineness_bound(kern: Kernel, mask: int) -> int:
+    """The largest atom of the nonempty event times its class's utility range."""
+    k, core = kern.event(mask)
+    utility = kern.util[k]
+    return max(kern.prob[k][i] for i in core) * (max(utility) - min(utility))
 
 
 class ObsClass(enum.Enum):
@@ -233,8 +241,8 @@ def observability_check(
     and indexed comparisons and the fineness gap are sums over A's states,
     and the strong conditional's perturbation cells lie inside A, so the
     off-A values of fAh and gAh cancel.  Each unordered pair of
-    restrictions to A is therefore classified once, and every act pair with
-    those restrictions, in either order, reuses the verdicts.
+    restrictions to A is classified once, from their difference vector on
+    A, and every act pair with them, in either order, reuses the verdicts.
     """
     act_list = list(acts) if acts is not None else list(
         enumerate_acts(m.space, m.outcome_space)
@@ -254,26 +262,34 @@ def observability_check(
     fail_entries: list[ObservabilityEntry] = []
     anomaly_entries: list[ObservabilityEntry] = []
 
-    def classify(ev_: Event, x: Act, y: Act) -> tuple[tuple, tuple]:
+    kern = m.kernel
+    pairs = len(act_list) * (len(act_list) - 1) // 2
+
+    def classify(mask: int, bound: int, x: Sequence[int], y: Sequence[int]) -> tuple:
         """(swapped, savage, indexed, strong, fine, class) for the two
         ordered instances of the pair, the savage-strict one first and
         (x, y) first when neither is; swapped marks the instance (y, x)."""
-        savage = savage_conditional(m, ev_, x, y).ordering
-        indexed = indexed_prefer(m, ev_, x, y)
-        out = []
-        first_swapped = savage is Ordering.STRICTLY_DISPREFER
-        for swap in (first_swapped, not first_swapped):
-            p, q = (y, x) if swap else (x, y)
-            win = Ordering.STRICTLY_DISPREFER if swap else Ordering.STRICTLY_PREFER
-            savage_s, indexed_s = savage is win, indexed is win
-            strong_s = savage_s and strong_conditional_strict(m, ev_, p, q).strong_strict
-            fine = indexed_s and fineness_holds(m, ev_, p, q)
-            cls = _classify(indexed_s, strong_s, fine)
-            out.append((swap, savage_s, indexed_s, strong_s, fine, cls))
-        return tuple(out)
+        diff = _difference(kern, mask, x, y)
+        lead = next((d for d in diff if d), 0)
+        swap = lead < 0
+        if swap:
+            diff, x, y = [-d for d in diff], y, x
+        strong = lead != 0 and _strong_partitions(kern, mask, diff, x, y)[-1] is not None
+        gap = diff[0]
+        fine = bound < abs(gap)
+        win, lose = gap > 0, gap < 0
+        return (
+            (swap, lead != 0, win, strong, win and fine, _classify(win, strong, win and fine)),
+            (not swap, False, lose, False, lose and fine, _classify(lose, False, lose and fine)),
+        )
 
     for ev_ in event_list:
-        members = m.kernel.members(ev_.mask)
+        if ev_.is_empty:  # nothing is strict there, so every instance is equivalent
+            total += 2 * pairs
+            equivalent += 2 * pairs
+            continue
+        mask, bound = ev_.mask, _fineness_bound(kern, ev_.mask)
+        members = kern.members(mask)
         restricted = [tuple(x.assignment[i] for i in members) for x in act_list]
         memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         for i, x in enumerate(act_list):
@@ -285,7 +301,8 @@ def observability_check(
                 key = (ry, rx) if flip else (rx, ry)
                 instances = memo.get(key)
                 if instances is None:
-                    instances = memo[key] = classify(ev_, y, x) if flip else classify(ev_, x, y)
+                    p, q = (y, x) if flip else (x, y)
+                    instances = memo[key] = classify(mask, bound, p.assignment, q.assignment)
                 if flip:
                     # the pair's verdicts, met as (y, x): only the swap marks
                     # change.  When neither instance is savage-strict, at

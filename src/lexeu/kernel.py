@@ -13,6 +13,7 @@ terms of one level are compared with each other.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -58,6 +59,15 @@ class Kernel:
         self._members: dict[int, tuple[int, ...]] = {}
         self._events: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._partitions: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    @cached_property
+    def steps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per state, constant c and outcome o: the change p·(u[c] − u[o]) of
+        the value at the state's level when c replaces o there."""
+        return tuple(
+            tuple(tuple(self.prob[k][i] * (uc - uo) for uo in self.util[k]) for uc in self.util[k])
+            for i, k in enumerate(self.level_of)
+        )
 
     def members(self, mask: int) -> tuple[int, ...]:
         got = self._members.get(mask)
@@ -108,13 +118,3 @@ class Kernel:
             if d:
                 return d, k
         return 0, None
-
-    def delta(self, mask: int, const: int, x: Sequence[int]) -> list[int]:
-        """Per-level change of values(x) when x is overwritten by the
-        constant outcome on the event."""
-        out = [0] * self.depth
-        for i in self.members(mask):
-            k = self.level_of[i]
-            u = self.util[k]
-            out[k] += self.prob[k][i] * (u[const] - u[x[i]])
-        return out

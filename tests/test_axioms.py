@@ -127,16 +127,27 @@ def test_p4_honours_its_budget(m0):
     )
 
 
-def uniform(n: int) -> GsleuModel:
-    """n equally likely states in one level, two outcomes."""
+def uniform(n: int, b: F = F(1)) -> GsleuModel:
+    """n equally likely states in one level, two outcomes: a at 0 and b."""
     space = StateSpace(tuple(f"s{i}" for i in range(n)))
     ospace = OutcomeSpace(("a", "b"))
     level = Level.from_mappings(
         space, ospace, space.states,
         {s: F(1, n) for s in space.states},
-        {"a": F(0), "b": F(1)},
+        {"a": F(0), "b": b},
     )
     return GsleuModel(space, ospace, (level,))
+
+
+def test_p4_without_prize_pairs_walks_no_span():
+    # a and b tie, so no constant pair is strictly ranked and none of the
+    # 5^10 - 1 spans holds an instance
+    start = time.perf_counter()
+    report = check_axiom(ModelBackedFamily(uniform(10, b=F(0))), "P4.5")
+    assert time.perf_counter() - start < 0.5
+    assert report == AxiomReport(
+        "P4.5", AxiomStatus.HOLDS, (), {"instances": 0, "prize_pairs": 0}
+    )
 
 
 def test_p6_partition_search_is_capped_before_it_starts():

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import act_of, build_m0, coprime_affine_model, ev, random_model
-from lexeu.acts import Act, compose, constant_act, enumerate_acts
+from lexeu.acts import Act, OutcomeSpace, compose, constant_act, enumerate_acts
+from lexeu.caps import PARTITION_ENUM_CAP
 from lexeu.conditioning import (
     ConditioningVerdict,
     ObsClass,
@@ -17,9 +18,10 @@ from lexeu.conditioning import (
     savage_conditional,
     strong_conditional_strict,
 )
-from lexeu.errors import SpaceMismatch
+from lexeu.errors import CapExceeded, SpaceMismatch
 from lexeu.events import Event, StateSpace, enumerate_partitions, singleton_partition
-from lexeu.model import class_of, conditional_measure
+from lexeu.kernel import Kernel
+from lexeu.model import GsleuModel, Level, class_of, conditional_measure
 from lexeu.preference import (
     LexVerdict,
     Ordering,
@@ -112,6 +114,33 @@ def test_singleton_event_never_strong():
 def test_strong_requires_savage():
     verdict = strong_conditional_strict(M0, ev(M0, "s1"), g, g)
     assert verdict == ConditioningVerdict(False, False, None, None)
+
+
+def test_partition_search_is_capped_before_it_starts(monkeypatch):
+    # one level, nine equally likely states: against g = a everywhere,
+    # f = b on s1 fails the singleton cell {s1} for the best constant c,
+    # and the coarser search would range over Bell(9) partitions
+    space = StateSpace(tuple(f"s{i}" for i in range(1, 10)))
+    ospace = OutcomeSpace(("a", "b", "c"))
+    level = Level.from_mappings(
+        space, ospace, space.states,
+        {s: F(1, 9) for s in space.states},
+        {"a": F(0), "b": F(1), "c": F(2)},
+    )
+    m = GsleuModel(space, ospace, (level,))
+    x, y = act_of(m, "b", *"a" * 8), act_of(m, *"a" * 9)
+
+    def enumerated(self, mask):
+        raise AssertionError("partitions enumerated past the cap")
+
+    monkeypatch.setattr(Kernel, "partitions", enumerated)
+    with pytest.raises(CapExceeded) as strong:
+        strong_conditional_strict(m, space.full, x, y)
+    with pytest.raises(CapExceeded) as census:
+        observability_check(m, acts=[x, y], events=[space.full])
+    for info in (strong, census):
+        assert (info.value.needed, info.value.cap) == (21147, PARTITION_ENUM_CAP)
+    assert str(strong.value) == str(census.value)
 
 
 def test_verdict_invariants_enforced():
