@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .axioms import AXIOM_IDS, CORE_IDS, AxiomStatus, check_all
+from .axioms import AXIOM_IDS, CORE_IDS, DEFAULT_BUDGET, AxiomStatus, check_all
 from .conditioning import observability_check, savage_conditional, strong_conditional_strict
 from .errors import (
     AxiomPrecheckFailed,
@@ -75,10 +75,10 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
-def _verdict_line(left: str, right: str, ordering: Ordering, level, suffix: str = "") -> str:
-    if ordering is Ordering.INDIFFERENT:
-        return f"{left} ~ {right}{suffix}"
-    return f"{left} {SYMBOL[ordering]} {right}{suffix} (deciding level {level})"
+def _verdict_line(left: str, right: str, ordering: Ordering, level=None, suffix: str = "") -> str:
+    """One ordering line, naming the deciding level of a lexicographic verdict."""
+    line = f"{left} {SYMBOL[ordering]} {right}{suffix}"
+    return line if level is None else f"{line} (deciding level {level})"
 
 
 # -- commands ----------------------------------------------------------------
@@ -168,9 +168,7 @@ def cmd_condition(args) -> int:
             "event": list(event.labels),
             "ordering": ordering.value,
         }
-        line = f"{fname} {SYMBOL[ordering]} {gname}{given}" if ordering is not Ordering.INDIFFERENT \
-            else f"{fname} ~ {gname}{given}"
-        _emit(args, payload, [line])
+        _emit(args, payload, [_verdict_line(fname, gname, ordering, suffix=given)])
         return 0
     verdict = savage_conditional(model, event, f, g)
     payload = {
@@ -189,22 +187,19 @@ def cmd_classes(args) -> int:
     partition = class_partition(model)
     classes = []
     human = [f"{partition.depth} classes (most likely first)"]
-    for k in range(partition.depth):
+    rows = zip(partition.classes, partition.supports, partition.top_events)
+    for k, (group, support, top) in enumerate(rows, start=1):
         entry = {
-            "support": list(partition.supports[k].labels),
-            "top_event": list(partition.top_events[k].labels),
-            "size": len(partition.classes[k]),
+            "support": list(support.labels),
+            "top_event": list(top.labels),
+            "size": len(group),
         }
-        line = (
-            f"class {k + 1}: support {_set(partition.supports[k])}, "
-            f"top event {_set(partition.top_events[k])}, {entry['size']} events"
+        human.append(
+            f"class {k}: support {_set(support)}, top event {_set(top)}, {entry['size']} events"
         )
         if args.enumerate:
-            entry["events"] = [list(e.labels) for e in partition.classes[k]]
-            human.append(line)
-            human.extend(f"    {_set(e)}" for e in partition.classes[k])
-        else:
-            human.append(line)
+            entry["events"] = [list(e.labels) for e in group]
+            human.extend(f"    {_set(e)}" for e in group)
         classes.append(entry)
     _emit(args, {"depth": partition.depth, "classes": classes}, human)
     return 0
@@ -265,11 +260,8 @@ def cmd_lottery(args) -> int:
         "right_lottery": io.lottery_to_dict(second),
         "ordering": ordering.value,
     }
-    _emit(args, payload, [
-        f"{fname} {SYMBOL[ordering]} {gname} given {_set(event)} (by induced lotteries)"
-        if ordering is not Ordering.INDIFFERENT
-        else f"{fname} ~ {gname} given {_set(event)} (by induced lotteries)"
-    ])
+    suffix = f" given {_set(event)} (by induced lotteries)"
+    _emit(args, payload, [_verdict_line(fname, gname, ordering, suffix=suffix)])
     return 0
 
 
@@ -277,10 +269,7 @@ def cmd_axioms(args) -> int:
     model = io.parse_model(args.model)
     family = ModelBackedFamily(model)
     ids = CORE_IDS if args.suite == "core" else AXIOM_IDS
-    if args.budget is not None:
-        suite = check_all(family, ids=ids, budget=args.budget)
-    else:
-        suite = check_all(family, ids=ids)
+    suite = check_all(family, budget=args.budget, ids=ids)
     reports = []
     human = []
     failed = False
@@ -435,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("axioms", cmd_axioms, "run the axiom suite on a model")
     p.add_argument("model")
     p.add_argument("--suite", choices=("core", "all"), default="core")
-    p.add_argument("--budget", type=_positive_int, default=None,
-                   help="per-axiom instance budget (default: library default)")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                   help="per-axiom instance budget (default: %(default)s)")
 
     p = add("derive-table", cmd_derive_table, "emit the full preference table of a model")
     p.add_argument("model")

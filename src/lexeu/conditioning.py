@@ -24,6 +24,7 @@ from .preference import (
     Ordering,
     _check_act,
     _check_event,
+    _lex_verdict,
 )
 
 
@@ -36,8 +37,7 @@ def savage_conditional(m: GsleuModel, a: Event, f: Act, g: Act) -> LexVerdict:
     _check_act(m, f)
     _check_act(m, g)
     _check_event(m, a)
-    diff, k = m.kernel.lex(a.mask, f.assignment, g.assignment)
-    return LexVerdict(Ordering.from_difference(diff), k)
+    return _lex_verdict(m.kernel.difference(a.mask, f.assignment, g.assignment))
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,6 @@ class ConditioningVerdict:
             )
 
 
-def _difference(kern: Kernel, mask: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """Per level from the nonempty event's class on: the value of x minus
-    that of y on the event."""
-    k, _ = kern.event(mask)
-    steps, level = kern.steps, kern.level_of
-    diff = [0] * (kern.depth - k)
-    for i in kern.members(mask):
-        diff[level[i] - k] += steps[i][x[i]][y[i]]
-    return diff
-
-
 def _lex_positive(v: Sequence[int]) -> bool:
     for d in v:
         if d:
@@ -82,9 +71,8 @@ def _strong_partitions(
     """Per constant c, best first: the first partition of the event
     (singletons, then kern.partitions order) each of whose cells C keeps
     diff + Σ steps[i][c][x[i]] and diff − Σ steps[i][c][y[i]], over i in C
-    at i's level, lexicographically positive.  diff is _difference(kern,
-    mask, x, y).  The list ends at the first constant with none, as None."""
-    k, _ = kern.event(mask)
+    at i's level, lexicographically positive.  diff is kern.difference(mask,
+    x, y).  The list ends at the first constant with none, as None."""
     steps, level, members = kern.steps, kern.level_of, kern.members
     singles = tuple(1 << i for i in members(mask))
     verdicts: dict[tuple[int, int], bool] = {}
@@ -95,8 +83,8 @@ def _strong_partitions(
             up, down = diff[:], diff[:]
             for i in members(cell):
                 step = steps[i][c]
-                up[level[i] - k] += step[x[i]]
-                down[level[i] - k] -= step[y[i]]
+                up[level[i]] += step[x[i]]
+                down[level[i]] -= step[y[i]]
             ok = verdicts[cell, c] = _lex_positive(up) and _lex_positive(down)
         return ok
 
@@ -138,13 +126,15 @@ def strong_conditional_strict(
         raise EmptyEvent("conditioning on the empty event")
     if h is None:
         h = g
-    _check_act(m, h)
-    if savage_conditional(m, a, f, g).ordering is not Ordering.STRICTLY_PREFER:
-        return ConditioningVerdict(False, False, None, None)
-
+    for act in (h, f, g):
+        _check_act(m, act)
+    _check_event(m, a)
     kern = m.kernel
     x, y = f.assignment, g.assignment
-    found = _strong_partitions(kern, a.mask, _difference(kern, a.mask, x, y), x, y)
+    diff = kern.difference(a.mask, x, y)
+    if _lex_verdict(diff).ordering is not Ordering.STRICTLY_PREFER:
+        return ConditioningVerdict(False, False, None, None)
+    found = _strong_partitions(kern, a.mask, diff, x, y)
     labels = [m.outcome_space.outcomes[o] for o in kern.outcome_order]
     if found[-1] is None:
         return ConditioningVerdict(True, False, labels[len(found) - 1], None)
@@ -265,17 +255,17 @@ def observability_check(
     kern = m.kernel
     pairs = len(act_list) * (len(act_list) - 1) // 2
 
-    def classify(mask: int, bound: int, x: Sequence[int], y: Sequence[int]) -> tuple:
+    def classify(mask: int, k: int, bound: int, x: Sequence[int], y: Sequence[int]) -> tuple:
         """(swapped, savage, indexed, strong, fine, class) for the two
         ordered instances of the pair, the savage-strict one first and
         (x, y) first when neither is; swapped marks the instance (y, x)."""
-        diff = _difference(kern, mask, x, y)
+        diff = kern.difference(mask, x, y)
         lead = next((d for d in diff if d), 0)
         swap = lead < 0
         if swap:
             diff, x, y = [-d for d in diff], y, x
         strong = lead != 0 and _strong_partitions(kern, mask, diff, x, y)[-1] is not None
-        gap = diff[0]
+        gap = diff[k]
         fine = bound < abs(gap)
         win, lose = gap > 0, gap < 0
         return (
@@ -289,6 +279,7 @@ def observability_check(
             equivalent += 2 * pairs
             continue
         mask, bound = ev_.mask, _fineness_bound(kern, ev_.mask)
+        k, _ = kern.event(mask)
         members = kern.members(mask)
         restricted = [tuple(x.assignment[i] for i in members) for x in act_list]
         memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
@@ -302,7 +293,7 @@ def observability_check(
                 instances = memo.get(key)
                 if instances is None:
                     p, q = (y, x) if flip else (x, y)
-                    instances = memo[key] = classify(mask, bound, p.assignment, q.assignment)
+                    instances = memo[key] = classify(mask, k, bound, p.assignment, q.assignment)
                 if flip:
                     # the pair's verdicts, met as (y, x): only the swap marks
                     # change.  When neither instance is savage-strict, at

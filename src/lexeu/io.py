@@ -11,7 +11,6 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
 
 from .acts import Act, OutcomeSpace
 from .errors import ParseError, ValidationError

@@ -108,13 +108,12 @@ class Kernel:
             for s, p, u in zip(self.support, self.prob, self.util)
         )
 
-    def lex(self, mask: int, x: Sequence[int], y: Sequence[int]) -> tuple[int, int | None]:
-        """(difference, 1-based level) at the first level whose values of x
-        and y differ on the event; (0, None) when none does."""
-        for k, (s, p, u) in enumerate(zip(self.support, self.prob, self.util), start=1):
-            d = 0
-            for i in self.members(mask & s):
-                d += p[i] * (u[x[i]] - u[y[i]])
-            if d:
-                return d, k
-        return 0, None
+    def difference(self, mask: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """Per level k: the value of x minus that of y on the event, scaled
+        by scale[k].  Zero before the event's class, and at every level for
+        the empty event."""
+        steps, level = self.steps, self.level_of
+        diff = [0] * self.depth
+        for i in self.members(mask):
+            diff[level[i]] += steps[i][x[i]][y[i]]
+        return diff

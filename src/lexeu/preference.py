@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .acts import Act
 from .errors import ClassMismatch, EmptyEvent, NotSubset, SpaceMismatch
@@ -135,21 +135,25 @@ def indexed_prefer(m: GsleuModel, a: Event, f: Act, g: Act):
     )
 
 
+def _lex_verdict(diff: Sequence[int]) -> LexVerdict:
+    """The lexicographic rule on a per-level difference vector: the first
+    nonzero level decides."""
+    for k, d in enumerate(diff, start=1):
+        if d:
+            return LexVerdict(Ordering.from_difference(d), k)
+    return LexVerdict(Ordering.INDIFFERENT, None)
+
+
 def lex_prefer(m: GsleuModel, f: Act, g: Act) -> LexVerdict:
     """Lexicographic comparison: first level whose values differ decides.
 
-    Same verdict as comparing level_values(m, f) with level_values(m, g)
-    entry by entry; later levels are skipped once one decides.
+    The savage conditional at the whole state space; same verdict as
+    comparing level_values(m, f) with level_values(m, g) entry by entry.
     """
     _check_act(m, f)
     _check_act(m, g)
-    fa, ga = f.assignment, g.assignment
-    differ = 0
-    for i, (x, y) in enumerate(zip(fa, ga)):
-        if x != y:
-            differ |= 1 << i
-    diff, k = m.kernel.lex(differ, fa, ga)
-    return LexVerdict(Ordering.from_difference(diff), k)
+    kern = m.kernel
+    return _lex_verdict(kern.difference((1 << kern.size) - 1, f.assignment, g.assignment))
 
 
 def weakly_preferred(signs: Iterable[Ordering], win: Ordering, lose: Ordering) -> bool:

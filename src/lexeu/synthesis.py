@@ -791,14 +791,13 @@ def synthesize(
     levels = []
     stages = {}
     covered = 0
-    for k, supp in enumerate(partition.supports, start=1):
+    for k, (supp, top) in enumerate(zip(partition.supports, partition.top_events), start=1):
         if supp.is_empty:
             raise VerificationFailed(
                 "a nullity class contains no single states, so no level "
                 "support can realize it",
-                witness=(partition.top_events[k - 1], None, None),
+                witness=(top, None, None),
             )
-        top = partition.top_events[k - 1]
         p, u, diag = _fit_class(fam, supp, top)
         stages[k] = diag
         prob = tuple(p.get(s, ZERO) for s in space.states)

@@ -75,6 +75,38 @@ def test_savage_equals_composite_comparison_for_every_h():
                 assert lex_prefer_bruteforce(m, fx, gy) == expected
 
 
+def test_kernel_difference_matches_level_fractions():
+    # entry k is scale[k] times the level-k expected-utility difference on
+    # the event's states in level k's support, summed in Fractions off the
+    # levels; the empty event and equal acts give all zeros
+    rng = random.Random(4141)
+    for m in _differential_models():
+        kern = m.kernel
+        acts = [x.assignment for x in enumerate_acts(m.space, m.outcome_space)]
+        full = (1 << m.space.size) - 1
+        for mask in [0, full] + [rng.randrange(1, full + 1) for _ in range(30)]:
+            a = Event(m.space, mask)
+            x = rng.choice(acts)
+            for y in (x, rng.choice(acts)):
+                expected = [
+                    kern.scale[k]
+                    * sum(
+                        (
+                            lv.prob[i] * (lv.utility[x[i]] - lv.utility[y[i]])
+                            for i in Event(m.space, mask & lv.support.mask).members
+                        ),
+                        F(0),
+                    )
+                    for k, lv in enumerate(m.levels)
+                ]
+                diff = kern.difference(mask, x, y)
+                assert diff == expected
+                k = class_of(m, a)
+                assert not any(diff[: m.depth if k is None else k - 1])
+                if x == y:
+                    assert not any(diff)
+
+
 def test_wedge_instance_frozen():
     # savage-strict yet indexed-indifferent; the best constant breaks the
     # strong test on every partition because some cell contains s1
