@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .acts import Act, enumerate_acts
-from .caps import PARTITION_ENUM_CAP
-from .errors import CapExceeded, EmptyEvent
-from .events import Event, Partition, bell_number
-from .kernel import Kernel
+from .errors import EmptyEvent
+from .events import Event, Partition
+from .kernel import Cells, Kernel
 from .model import GsleuModel
 from .preference import (
     LexVerdict,
@@ -58,13 +57,6 @@ class ConditioningVerdict:
             )
 
 
-def _lex_positive(v: Sequence[int]) -> bool:
-    for d in v:
-        if d:
-            return d > 0
-    return False
-
-
 def _strong_partitions(
     kern: Kernel, mask: int, diff: list[int], x: Sequence[int], y: Sequence[int]
 ) -> list[tuple[int, ...] | None]:
@@ -72,36 +64,48 @@ def _strong_partitions(
     (singletons, then kern.partitions order) each of whose cells C keeps
     diff + Σ steps[i][c][x[i]] and diff − Σ steps[i][c][y[i]], over i in C
     at i's level, lexicographically positive.  diff is kern.difference(mask,
-    x, y).  The list ends at the first constant with none, as None."""
-    steps, level, members = kern.steps, kern.level_of, kern.members
-    singles = tuple(1 << i for i in members(mask))
-    verdicts: dict[tuple[int, int], bool] = {}
+    x, y).  The list ends at the first constant with none, as None.
 
-    def cell_ok(cell: int, c: int) -> bool:
-        ok = verdicts.get((cell, c))
-        if ok is None:
-            up, down = diff[:], diff[:]
-            for i in members(cell):
-                step = steps[i][c]
-                up[level[i]] += step[x[i]]
-                down[level[i]] -= step[y[i]]
-            ok = verdicts[cell, c] = _lex_positive(up) and _lex_positive(down)
-        return ok
-
+    Both sums are taken packed (Kernel.packed), so a cell's verdict is the
+    sign of two ints.  When the singletons fail, one subset-sum pass over
+    the event's submasks decides every cell at once, and the partition is
+    read off the cells that pass."""
+    steps = kern.packed[1]
+    d = kern.pack(diff)
+    members = kern.members(mask)
     found: list[tuple[int, ...] | None] = []
     for c in kern.outcome_order:
-        part = singles if all(cell_ok(cell, c) for cell in singles) else None
-        if part is None and len(singles) > 1:
-            needed = bell_number(len(singles))
-            if needed > PARTITION_ENUM_CAP:
-                msg = f"partition search over {len(singles)} states exceeds cap"
-                raise CapExceeded(msg, needed=needed, cap=PARTITION_ENUM_CAP)
-            coarser = (p for p in kern.partitions(mask) if p != singles)
-            part = next((p for p in coarser if all(cell_ok(cell, c) for cell in p)), None)
+        if all(d + steps[i][c][x[i]] > 0 < d - steps[i][c][y[i]] for i in members):
+            part = tuple(1 << i for i in members)
+        elif len(members) > 1:
+            part = _first_fit(kern.cells(mask), [row[c] for row in steps], d, x, y)
+        else:
+            part = None
         found.append(part)
         if part is None:
             break
     return found
+
+
+def _first_fit(
+    table: Cells, step: Sequence[Sequence[int]], d: int, x: Sequence[int], y: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The first partition of table's event that is not the singletons and
+    each of whose cells passes, where step[i][o] is the packed change at
+    state i when the constant replaces o.  Each cell's two sums extend
+    those of the cell without its lowest state."""
+    up = [d] * (len(table.subsets) + 1)
+    down = up[:]
+    good = 0
+    for t, (i, rest) in enumerate(table.subsets, 1):
+        u = up[t] = up[rest] + step[i][x[i]]
+        v = down[t] = down[rest] - step[i][y[i]]
+        if u > 0 < v:
+            good |= 1 << t
+    if good not in table.first_fit:
+        fits = (p for p, bits in zip(table.partitions, table.bits) if not bits & ~good)
+        table.first_fit[good] = next(fits, None)
+    return table.first_fit[good]
 
 
 def strong_conditional_strict(

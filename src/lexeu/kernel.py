@@ -9,15 +9,23 @@ normalizing mass is positive and shared by both sides of a comparison, so
 it drops out as well.  Scores built here are therefore integers that are
 exact stand-ins for the Fraction expressions they replace, as long as only
 terms of one level are compared with each other.
+
+A lexicographic verdict on a per-level vector v packs into one int,
+Σ v[k]·B^(depth − 1 − k), whose sign is the sign of v's first nonzero
+entry as long as every |v[k]| < B/2: the levels after the first nonzero
+one sum to less than one unit of its weight.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
-from .events import partition_masks
+from .caps import PARTITION_ENUM_CAP
+from .errors import CapExceeded
+from .events import bell_number, partition_masks
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -27,11 +35,21 @@ def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
+class Cells(NamedTuple):
+    """The cells of one event's partitions, indexed by their submask of the
+    event read as a |A|-bit number (bit j for the event's j-th state)."""
+
+    subsets: tuple[tuple[int, int], ...]  # per index 1, 2, ...: (lowest state, index of the rest)
+    partitions: tuple[tuple[int, ...], ...]  # all but the singletons, kern.partitions order
+    bits: tuple[int, ...]  # per partition: bit t set for each cell of index t
+    first_fit: dict[int, tuple[int, ...] | None]  # good-cell bits -> first partition inside
+
+
 class Kernel:
     """Per level: integer probabilities (full length, zero off the support)
     and integer utilities; per event mask, lazily, the class and the states
-    of the event that carry weight at it (its core), its members and its
-    partitions."""
+    of the event that carry weight at it (its core), its members and the
+    cell table of its partitions."""
 
     def __init__(self, levels) -> None:
         self.support = tuple(lv.support.mask for lv in levels)
@@ -58,7 +76,7 @@ class Kernel:
         self.outcome_order = tuple(sorted(range(len(u)), key=lambda o: (-u[o], o)))
         self._members: dict[int, tuple[int, ...]] = {}
         self._events: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self._partitions: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._cells: dict[int, Cells] = {}
 
     @cached_property
     def steps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -69,6 +87,30 @@ class Kernel:
             for i, k in enumerate(self.level_of)
         )
 
+    @cached_property
+    def packed(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+        """(weights, steps): level k's weight B^(depth − 1 − k), and steps
+        with each state's entries times the weight of its level.
+
+        B = 4·max_k(P_k·R_k) + 1, where P_k is level k's total mass and R_k
+        its utility range.  An entry of a difference vector, or of one
+        with a cell's steps added or taken away, is at most 2·P_k·R_k <
+        B/2 in magnitude, so pack keeps the first-nonzero-level sign."""
+        bound = max(
+            (sum(p) * (max(u) - min(u)) for p, u in zip(self.prob, self.util)), default=0
+        )
+        weights = tuple((4 * bound + 1) ** (self.depth - 1 - k) for k in range(self.depth))
+        steps = tuple(
+            tuple(tuple(weights[k] * d for d in row) for row in rows)
+            for rows, k in zip(self.steps, self.level_of)
+        )
+        return weights, steps
+
+    def pack(self, vec: Sequence[int]) -> int:
+        """One int with the sign of vec's first nonzero entry, for vectors
+        within the bound of packed."""
+        return sum(map(mul, self.packed[0], vec))
+
     def members(self, mask: int) -> tuple[int, ...]:
         got = self._members.get(mask)
         if got is None:
@@ -78,9 +120,31 @@ class Kernel:
     def partitions(self, mask: int) -> tuple[tuple[int, ...], ...]:
         """Every partition of the event as block masks, in
         enumerate_partitions' order."""
-        got = self._partitions.get(mask)
+        return tuple(partition_masks(self.members(mask)))
+
+    def cells(self, mask: int) -> Cells:
+        """The cell table of a nonempty event, built once; raises
+        CapExceeded first if the event has more than PARTITION_ENUM_CAP
+        partitions."""
+        got = self._cells.get(mask)
         if got is None:
-            got = self._partitions[mask] = tuple(partition_masks(self.members(mask)))
+            members = self.members(mask)
+            needed = bell_number(len(members))
+            if needed > PARTITION_ENUM_CAP:
+                msg = f"partition search over {len(members)} states exceeds cap"
+                raise CapExceeded(msg, needed=needed, cap=PARTITION_ENUM_CAP)
+            subsets = tuple(
+                (members[(t & -t).bit_length() - 1], t & (t - 1))
+                for t in range(1, 1 << len(members))
+            )
+
+            def index(cell: int) -> int:
+                return sum(1 << j for j, i in enumerate(members) if cell >> i & 1)
+
+            singles = tuple(1 << i for i in members)
+            partitions = tuple(p for p in self.partitions(mask) if p != singles)
+            bits = tuple(sum(1 << index(cell) for cell in p) for p in partitions)
+            got = self._cells[mask] = Cells(subsets, partitions, bits, {})
         return got
 
     def event(self, mask: int) -> tuple[int, tuple[int, ...]]:

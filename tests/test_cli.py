@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_m0
-from lexeu import io
+from lexeu import cli, io
 from lexeu.acts import Act
 from lexeu.cli import main
 from lexeu.family import derive_table
@@ -323,6 +323,25 @@ def test_axioms_full_suite(files, capsys):
     payload = json.loads(out)
     assert len(payload["reports"]) == 11
     assert all(r["status"] in ("Holds", "Informational") for r in payload["reports"])
+
+
+def test_reused_parser_leaks_no_option_between_calls(files, capsys):
+    # main builds its parser once per process; each call in a sequence
+    # must print what it prints on a parser built just for it
+    m, f, g = files["model"], files["f"], files["g"]
+    sequences = [
+        [("axioms", m, "--budget", "5"), ("axioms", m)],
+        [("condition", m, "s3,s4", f, g, "--strong"), ("condition", m, "s3,s4", f, g, "--naive")],
+    ]
+    for argvs in sequences:
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert fresh[0] != fresh[1]
+        parser = cli._parser()
+        assert [run(capsys, *argv) for argv in argvs] == fresh
+        assert cli._parser() is parser
 
 
 @pytest.mark.parametrize("budget", ["0", "-1", "x", "1.5"])

@@ -410,3 +410,103 @@ def test_strong_witnesses_match_partition_search_by_definition():
             strong += got.strong_strict
             coarse += bool(got.coarse_constants)
     assert strong > 20 and coarse >= 5  # coarse witnesses are exercised
+
+
+def _four_level_coprime_model():
+    """Six states, three outcomes, four levels whose probabilities and
+    utilities have co-prime denominators, so each level is scaled by its
+    own factor and the packed weights grow fast."""
+    space = StateSpace(tuple(f"s{i}" for i in range(1, 7)))
+    ospace = OutcomeSpace(("a", "b", "c"))
+    spec = (
+        ({"s1": F(2, 7), "s2": F(5, 7)}, {"a": F(-3, 11), "b": F(1, 13), "c": F(4, 3)}),
+        ({"s3": F(1, 5), "s4": F(4, 5)}, {"a": F(7, 2), "b": F(-1, 17), "c": F(0)}),
+        ({"s5": F(1)}, {"a": F(0), "b": F(2, 19), "c": F(5, 23)}),
+        ({"s6": F(1)}, {"a": F(9, 29), "b": F(-4, 31), "c": F(1)}),
+    )
+    levels = tuple(
+        Level.from_mappings(space, ospace, tuple(prob), prob, utility) for prob, utility in spec
+    )
+    return GsleuModel(space, ospace, levels)
+
+
+def _lex_sign(v) -> int:
+    """The sign of the first nonzero entry, 0 for none: the lexicographic
+    rule on a per-level vector."""
+    return next(((d > 0) - (d < 0) for d in v if d), 0)
+
+
+def test_packed_sign_is_the_lexicographic_sign():
+    # the packed form of D ± a cell's steps, summed as ints, against the
+    # first-nonzero-level rule on the per-level lists; then vectors whose
+    # entries sit at the packing bound of ±2·max_k(P_k·R_k)
+    rng = random.Random(7171)
+    models = _differential_models() + _mixed_order_models() + [_four_level_coprime_model()]
+    signs = set()
+    for m in models:
+        kern = m.kernel
+        weights, packed_steps = kern.packed
+        n, o = m.space.size, m.outcome_space.size
+        for _ in range(300):
+            mask = rng.randrange(1, 1 << n)
+            cell = rng.randrange(1, mask + 1) & mask or mask
+            x, y = (tuple(rng.randrange(o) for _ in range(n)) for _ in range(2))
+            c = rng.randrange(o)
+            diff = kern.difference(mask, x, y)
+            up, down = diff[:], diff[:]
+            packed_up = packed_down = kern.pack(diff)
+            for i in kern.members(cell):
+                k = kern.level_of[i]
+                up[k] += kern.steps[i][c][x[i]]
+                down[k] -= kern.steps[i][c][y[i]]
+                packed_up += packed_steps[i][c][x[i]]
+                packed_down -= packed_steps[i][c][y[i]]
+            for vec, packed in ((diff, kern.pack(diff)), (up, packed_up), (down, packed_down)):
+                assert _lex_sign([packed]) == _lex_sign(vec)
+                signs.add(_lex_sign(vec))
+        bound = max(sum(p) * (max(u) - min(u)) for p, u in zip(kern.prob, kern.util))
+        assert weights[-1] == 1 and all(w == (4 * bound + 1) * v for w, v in zip(weights, weights[1:]))
+        entries = (-2 * bound, -1, 0, 1, 2 * bound)
+        for _ in range(200):
+            vec = [rng.choice(entries) for _ in range(m.depth)]
+            assert _lex_sign([kern.pack(vec)]) == _lex_sign(vec)
+    assert signs == {-1, 0, 1}
+
+
+def test_partition_search_at_six_to_eight_states(monkeypatch):
+    # events of 6 to 8 states on which the singletons fail for some
+    # constant, so the subset-sum pass over the event's cells and the
+    # first-fit memo decide the verdict; act pairs share events, so the
+    # memo is read back as well as filled, and four draws carry a coarse
+    # witness
+    built = []
+    cells = Kernel.cells
+    monkeypatch.setattr(Kernel, "cells", lambda self, mask: built.append(mask) or cells(self, mask))
+    rng = random.Random(8181)
+    draws, tables, searches = [], {}, 0
+    for _ in range(12):
+        m = random_model(rng, 6, 8, k_max=3, shared_order=False)
+        n, o = m.space.size, m.outcome_space.size
+        for _ in range(4):
+            dropped = rng.sample(range(n), rng.randint(0, n - 6))
+            a = Event(m.space, (1 << n) - 1 - sum(1 << i for i in dropped))
+            for _ in range(10):
+                x, y, h = (Act(m.space, m.outcome_space, tuple(rng.randrange(o) for _ in range(n)))
+                           for _ in range(3))
+                if savage_conditional(m, a, x, y).ordering is Ordering.STRICTLY_DISPREFER:
+                    x, y = y, x
+                built.clear()
+                got = strong_conditional_strict(m, a, x, y, h=h)
+                if built:
+                    draws.append((m, a, x, y, h, got))
+                    tables[m, a.mask] = cells(m.kernel, a.mask)
+                    searches += len(built)
+    # each memo entry was filled by one search; the other searches read it
+    assert 0 < sum(len(t.first_fit) for t in tables.values()) < searches
+    # against the definition: four draws of each event size, and the first
+    # four coarse witnesses
+    picked = [d for size in (6, 7, 8) for d in [d for d in draws if d[1].size == size][:4]]
+    picked += [d for d in draws if d[-1].coarse_constants and d not in picked][:4]
+    for m, a, x, y, h, got in picked:
+        assert got == _strong_reference(m, a, x, y, h)
+    assert len(picked) == 16 and sum(bool(d[-1].coarse_constants) for d in picked) >= 4
