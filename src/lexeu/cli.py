@@ -367,7 +367,10 @@ def cmd_observability(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first main call and reused:
+    parse_args starts every call from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lexeu",
         description="Lexicographic expected-utility models: compare, check, derive, synthesize.",
@@ -442,15 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built on the first main call and reused:
-    parse_args starts every call from a fresh namespace."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -102,10 +102,7 @@ def _first_fit(
         v = down[t] = down[rest] - step[i][y[i]]
         if u > 0 < v:
             good |= 1 << t
-    if good not in table.first_fit:
-        fits = (p for p, bits in zip(table.partitions, table.bits) if not bits & ~good)
-        table.first_fit[good] = next(fits, None)
-    return table.first_fit[good]
+    return next((p for p, bits in zip(table.partitions, table.bits) if not bits & ~good), None)
 
 
 def strong_conditional_strict(

@@ -42,7 +42,6 @@ class Cells(NamedTuple):
     subsets: tuple[tuple[int, int], ...]  # per index 1, 2, ...: (lowest state, index of the rest)
     partitions: tuple[tuple[int, ...], ...]  # all but the singletons, kern.partitions order
     bits: tuple[int, ...]  # per partition: bit t set for each cell of index t
-    first_fit: dict[int, tuple[int, ...] | None]  # good-cell bits -> first partition inside
 
 
 class Kernel:
@@ -119,7 +118,7 @@ class Kernel:
 
     def partitions(self, mask: int) -> tuple[tuple[int, ...], ...]:
         """Every partition of the event as block masks, in
-        enumerate_partitions' order."""
+        enumerate_partitions' order; cells' one source of partitions."""
         return tuple(partition_masks(self.members(mask)))
 
     def cells(self, mask: int) -> Cells:
@@ -144,7 +143,7 @@ class Kernel:
             singles = tuple(1 << i for i in members)
             partitions = tuple(p for p in self.partitions(mask) if p != singles)
             bits = tuple(sum(1 << index(cell) for cell in p) for p in partitions)
-            got = self._cells[mask] = Cells(subsets, partitions, bits, {})
+            got = self._cells[mask] = Cells(subsets, partitions, bits)
         return got
 
     def event(self, mask: int) -> tuple[int, tuple[int, ...]]:

@@ -336,12 +336,12 @@ def test_reused_parser_leaks_no_option_between_calls(files, capsys):
     for argvs in sequences:
         fresh = []
         for argv in argvs:
-            cli._parser.cache_clear()
+            cli.build_parser.cache_clear()
             fresh.append(run(capsys, *argv))
         assert fresh[0] != fresh[1]
-        parser = cli._parser()
+        parser = cli.build_parser()
         assert [run(capsys, *argv) for argv in argvs] == fresh
-        assert cli._parser() is parser
+        assert cli.build_parser() is parser
 
 
 @pytest.mark.parametrize("budget", ["0", "-1", "x", "1.5"])
