@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .acts import Act, enumerate_acts
 from .errors import EmptyEvent
@@ -176,8 +177,7 @@ class ObsClass(enum.Enum):
     ANOMALY = "anomaly"
 
 
-@dataclass(frozen=True)
-class ObservabilityEntry:
+class ObservabilityEntry(NamedTuple):
     event: Event
     f: Act
     g: Act
@@ -231,9 +231,14 @@ def observability_check(
     At an event A every verdict reads the two acts on A only: the savage
     and indexed comparisons and the fineness gap are sums over A's states,
     and the strong conditional's perturbation cells lie inside A, so the
-    off-A values of fAh and gAh cancel.  Each unordered pair of
-    restrictions to A is classified once, from their difference vector on
-    A, and every act pair with them, in either order, reuses the verdicts.
+    off-A values of fAh and gAh cancel.  So the acts are grouped by their
+    restriction to A, and every count is read off class multiplicities: a
+    class of n acts adds n·(n − 1) equivalent instances (their difference
+    vector is zero), and each pair of distinct classes I, J is classified
+    once, from the difference vector of one act of each, each instance
+    counting |I|·|J| times.  Entries are built only for non-equivalent
+    instances, in act-pair order: by the pair's earlier and later list
+    position, the savage-strict instance first.
     """
     act_list = list(acts) if acts is not None else list(
         enumerate_acts(m.space, m.outcome_space)
@@ -282,49 +287,52 @@ def observability_check(
         mask, bound = ev_.mask, _fineness_bound(kern, ev_.mask)
         k, _ = kern.event(mask)
         members = kern.members(mask)
-        restricted = [tuple(x.assignment[i] for i in members) for x in act_list]
-        memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-        for i, x in enumerate(act_list):
-            rx = restricted[i]
-            for j in range(i + 1, len(act_list)):
-                y = act_list[j]
-                ry = restricted[j]
-                flip = ry < rx
-                key = (ry, rx) if flip else (rx, ry)
-                instances = memo.get(key)
-                if instances is None:
-                    p, q = (y, x) if flip else (x, y)
-                    instances = memo[key] = classify(mask, k, bound, p.assignment, q.assignment)
-                if flip:
-                    # the pair's verdicts, met as (y, x): only the swap marks
-                    # change.  When neither instance is savage-strict, at
-                    # most one is reported (neither can be strong, and the
-                    # indexed preference is strict one way only), so their
-                    # order never shows.
-                    instances = tuple((not inst[0],) + inst[1:] for inst in instances)
-                for swap, savage_s, indexed_s, strong_s, fine, cls in instances:
-                    total += 1
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, act in enumerate(act_list):
+            groups.setdefault(tuple(act.assignment[s] for s in members), []).append(i)
+        # acts with one restriction: every instance is equivalent (D = 0)
+        same = sum(len(idx) * (len(idx) - 1) for idx in groups.values())
+        total += same
+        equivalent += same
+        classes = [(act_list[idx[0]].assignment, idx) for idx in groups.values()]
+        found: list[tuple[int, ObservabilityEntry]] = []  # (act-pair order, entry)
+        for lo, (x, lo_idx) in enumerate(classes):
+            for y, hi_idx in classes[lo + 1 :]:
+                n = len(lo_idx) * len(hi_idx)
+                instances = classify(mask, k, bound, x, y)
+                for slot, (swap, savage_s, indexed_s, strong_s, fine, cls) in enumerate(instances):
+                    total += n
                     if strong_s:
-                        strong_count += 1
+                        strong_count += n
                         if indexed_s:
-                            strong_and_indexed += 1
+                            strong_and_indexed += n
                     if fine:
-                        cond_total += 1
+                        cond_total += n
                         if cls is ObsClass.EQUIVALENT:
-                            cond_equiv += 1
+                            cond_equiv += n
                     if cls is ObsClass.EQUIVALENT:
-                        equivalent += 1
+                        equivalent += n
                         continue
-                    first, second = (y, x) if swap else (x, y)
-                    entry = ObservabilityEntry(
-                        ev_, first, second, savage_s, indexed_s, strong_s, fine, cls
-                    )
                     if cls is ObsClass.FINENESS_FAILURE:
-                        finefail += 1
-                        fail_entries.append(entry)
+                        finefail += n
                     else:
-                        anomaly += 1
-                        anomaly_entries.append(entry)
+                        anomaly += n
+                    for a in lo_idx:
+                        for b in hi_idx:
+                            first, second = (b, a) if swap else (a, b)
+                            found.append((
+                                (min(a, b) * len(act_list) + max(a, b)) * 2 + slot,
+                                ObservabilityEntry(
+                                    ev_, act_list[first], act_list[second],
+                                    savage_s, indexed_s, strong_s, fine, cls,
+                                ),
+                            ))
+        found.sort(key=itemgetter(0))
+        for _, entry in found:
+            if entry.classification is ObsClass.FINENESS_FAILURE:
+                fail_entries.append(entry)
+            else:
+                anomaly_entries.append(entry)
 
     return ObservabilityReport(
         total,

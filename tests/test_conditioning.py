@@ -326,6 +326,36 @@ def test_census_matches_per_instance_reference():
     assert expected.fineness_failures and expected.strong_count  # both branches exercised
 
 
+def test_census_entry_order_under_interleaved_restriction_classes():
+    # a shuffled full act list with three acts repeated, so at each
+    # two-state event every restriction class holds acts scattered over the
+    # list; the census counts per class and must still list entries in
+    # act-pair order, with the empty event among the events
+    rng = random.Random(6464)
+    m = _mixed_order_models()[0]
+    acts = list(enumerate_acts(m.space, m.outcome_space))
+    acts += rng.sample(acts, 3)
+    rng.shuffle(acts)
+    events = [e for e in m.space.all_events() if e.size == 2] + [Event(m.space, 0)]
+    expected = _census_reference(m, acts, events)
+    assert observability_check(m, acts=acts, events=events) == expected
+    assert len(expected.fineness_failures) > 1  # the order of entries shows
+
+
+def test_observability_entry_contract():
+    fields = (
+        "event", "f", "g", "savage_strict", "indexed_strict", "strong_strict",
+        "fineness_ok", "classification",
+    )
+    assert ObservabilityEntry._fields == fields
+    values = (ev(M0, "s1", "s2"), f, g, True, True, False, False, ObsClass.FINENESS_FAILURE)
+    entry = ObservabilityEntry(*values)
+    same = ObservabilityEntry(**dict(zip(fields, values)))
+    assert entry == same and hash(entry) == hash(same)
+    assert entry.g is g and entry.classification is ObsClass.FINENESS_FAILURE
+    assert repr(entry).startswith("ObservabilityEntry(event=")
+
+
 def test_census_rejects_a_foreign_act_or_event():
     # the foreign act has the same assignment as x, and x's pairs with x
     # and with c come first in both orders, so every pair holding the
