@@ -68,9 +68,15 @@ def _strong_partitions(
     x, y).  The list ends at the first constant with none, as None.
 
     Both sums are taken packed (Kernel.packed), so a cell's verdict is the
-    sign of two ints.  When the singletons fail, one subset-sum pass over
-    the event's submasks decides every cell at once, and the partition is
-    read off the cells that pass."""
+    sign of two ints.  When the singletons fail for an extreme constant
+    (Kernel.extreme: weakly best or weakly worst at every state of the
+    event), every partition fails: for a weakly best c the first sum is at
+    least d > 0 and the second only falls as states join a cell, so the
+    cell holding the failing state fails too (swap the sums for a weakly
+    worst c).  For any other constant one subset-sum pass over the event's
+    submasks decides every cell at once, and the partition is read off the
+    cells that pass.  Kernel.extreme checks the partition cap before
+    either."""
     steps = kern.packed[1]
     d = kern.pack(diff)
     members = kern.members(mask)
@@ -79,7 +85,9 @@ def _strong_partitions(
         if all(d + steps[i][c][x[i]] > 0 < d - steps[i][c][y[i]] for i in members):
             part = tuple(1 << i for i in members)
         elif len(members) > 1:
-            part = _first_fit(kern.cells(mask), [row[c] for row in steps], d, x, y)
+            part = None if kern.extreme(mask)[c] else _first_fit(
+                kern.cells(mask), [row[c] for row in steps], d, x, y
+            )
         else:
             part = None
         found.append(part)
@@ -119,7 +127,12 @@ def strong_conditional_strict(
     act k a partition of the event such that on each cell both
     k-on-cell(fAh) beats gAh and fAh beats k-on-cell(gAh), unconditionally
     and strictly.  Constants are tried best-first; partitions are searched
-    singletons-first, then coarser ones in restricted-growth order.  The
+    singletons-first, then coarser ones in restricted-growth order.  A
+    constant weakly best at every state of the event is settled by the
+    singletons: putting it on a cell never lowers an act, and raises
+    k-on-cell(gAh) the more the larger the cell, so if fAh fails to beat
+    k-on-{s}(gAh), it fails on every cell holding s (and k-on-cell(fAh)
+    likewise for a weakly worst constant).  The
     verdict is independent of the filler act h (g by default): every
     comparison is between composites that agree off the event, so only
     their level differences on it count.

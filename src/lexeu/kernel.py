@@ -47,8 +47,8 @@ class Cells(NamedTuple):
 class Kernel:
     """Per level: integer probabilities (full length, zero off the support)
     and integer utilities; per event mask, lazily, the class and the states
-    of the event that carry weight at it (its core), its members and the
-    cell table of its partitions."""
+    of the event that carry weight at it (its core), its members, its
+    extreme constants and the cell table of its partitions."""
 
     def __init__(self, levels) -> None:
         self.support = tuple(lv.support.mask for lv in levels)
@@ -76,6 +76,7 @@ class Kernel:
         self._members: dict[int, tuple[int, ...]] = {}
         self._events: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._cells: dict[int, Cells] = {}
+        self._extreme: dict[int, tuple[bool, ...]] = {}
 
     @cached_property
     def steps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -121,17 +122,34 @@ class Kernel:
         enumerate_partitions' order; cells' one source of partitions."""
         return tuple(partition_masks(self.members(mask)))
 
-    def cells(self, mask: int) -> Cells:
-        """The cell table of a nonempty event, built once; raises
-        CapExceeded first if the event has more than PARTITION_ENUM_CAP
-        partitions."""
-        got = self._cells.get(mask)
+    def extreme(self, mask: int) -> tuple[bool, ...]:
+        """Per constant c: whether c is weakly best or weakly worst at every
+        state of the nonempty event, that is, its packed steps[i][c][o] share
+        one sign over every outcome o and every state i of the event.  A
+        partition search of the event reads these first, so the partition
+        cap is checked here: CapExceeded if the event has more than
+        PARTITION_ENUM_CAP partitions."""
+        got = self._extreme.get(mask)
         if got is None:
             members = self.members(mask)
             needed = bell_number(len(members))
             if needed > PARTITION_ENUM_CAP:
                 msg = f"partition search over {len(members)} states exceeds cap"
                 raise CapExceeded(msg, needed=needed, cap=PARTITION_ENUM_CAP)
+            rows = [self.packed[1][i] for i in members]
+            got = self._extreme[mask] = tuple(
+                all(s >= 0 for row in rows for s in row[c])
+                or all(s <= 0 for row in rows for s in row[c])
+                for c in range(len(rows[0]))
+            )
+        return got
+
+    def cells(self, mask: int) -> Cells:
+        """The cell table of a nonempty event, built once.  It does not
+        check the partition cap: a search reads extreme, which does, first."""
+        got = self._cells.get(mask)
+        if got is None:
+            members = self.members(mask)
             subsets = tuple(
                 (members[(t & -t).bit_length() - 1], t & (t - 1))
                 for t in range(1, 1 << len(members))

@@ -13,6 +13,7 @@ from lexeu.conditioning import (
     ObsClass,
     ObservabilityEntry,
     ObservabilityReport,
+    _first_fit,
     fineness_holds,
     observability_check,
     savage_conditional,
@@ -357,9 +358,9 @@ def test_observability_entry_contract():
 
 
 def test_census_rejects_a_foreign_act_or_event():
-    # the foreign act has the same assignment as x, and x's pairs with x
-    # and with c come first in both orders, so every pair holding the
-    # foreign act finds its restrictions already classified
+    # the foreign act has the same assignment as x, so it falls in x's
+    # restriction class at every event and no verdict would ever read it:
+    # only the up-front check of every act and every event rejects it
     other = StateSpace(("t1", "t2", "t3", "t4"))
     x = act_of(M0, "a", "b", "c", "a")
     c = act_of(M0, "c", "c", "c", "c")
@@ -535,3 +536,81 @@ def test_partition_search_at_six_to_eight_states(monkeypatch):
     for m, a, x, y, h, got in picked:
         assert got == _strong_reference(m, a, x, y, h)
     assert len(picked) == 16 and sum(bool(d[-1].coarse_constants) for d in picked) >= 4
+
+
+def test_extreme_constants_are_settled_by_the_singletons():
+    # a constant weakly best, or weakly worst, at every level holding a
+    # state of the event: wherever its singletons fail, no partition in the
+    # full cell table passes either, so the search can be skipped; then the
+    # draws that a mixed constant's coarse partition makes strong, and some
+    # that a mixed constant searched in vain, against the definition
+    rng = random.Random(9292)
+    settled = 0
+    coarse, searched = [], []
+    for t in range(120):
+        o = rng.randint(2, 5)
+        m = random_model(rng, 2, 6, n_outcomes=o, k_max=3, shared_order=t % 2 == 0)
+        kern, n = m.kernel, m.space.size
+        steps = kern.packed[1]
+        for _ in range(50):
+            mask = rng.randrange(1, 1 << n)
+            x, y = (tuple(rng.randrange(o) for _ in range(n)) for _ in range(2))
+            diff = kern.difference(mask, x, y)
+            if _lex_sign(diff) < 0:
+                x, y, diff = y, x, [-v for v in diff]
+            d, members = kern.pack(diff), kern.members(mask)
+            utilities = [m.levels[k].utility for k in {kern.level_of[i] for i in members}]
+            fits = []
+            for c in range(o):
+                extreme = all(u[c] == max(u) for u in utilities) or all(
+                    u[c] == min(u) for u in utilities
+                )
+                assert kern.extreme(mask)[c] == extreme
+                if d <= 0 or all(d + steps[i][c][x[i]] > 0 < d - steps[i][c][y[i]] for i in members):
+                    continue
+                fit = _first_fit(kern.cells(mask), [row[c] for row in steps], d, x, y)
+                if extreme:
+                    assert fit is None
+                    settled += 1
+                fits.append((extreme, fit))
+            draw = (m, Event(m.space, mask), x, y)
+            if fits and all(fit is not None for _, fit in fits):
+                coarse.append(draw)
+            elif any(not extreme for extreme, _ in fits):
+                searched.append(draw)
+    assert settled > 5000 and len(coarse) >= 5 and len(searched) > 1000
+    for draws, coarse_witness in ((coarse, True), (searched[:8], False)):
+        for m, a, x, y in draws:
+            f, g = (Act(m.space, m.outcome_space, v) for v in (x, y))
+            expected = _strong_reference(m, a, f, g, g)
+            assert strong_conditional_strict(m, a, f, g) == expected
+            if coarse_witness:
+                assert expected.coarse_constants
+
+
+def test_extreme_constants_build_no_cell_table(monkeypatch):
+    # one level, three states weighted 1:2:3, outcomes a < b < c: the best
+    # and the worst constant are extreme, b is mixed; each pair's singletons
+    # fail for one constant, and only b's failure builds the cell table
+    space = StateSpace(("s1", "s2", "s3"))
+    ospace = OutcomeSpace(("a", "b", "c"))
+    level = Level.from_mappings(
+        space, ospace, space.states,
+        {"s1": F(1, 6), "s2": F(2, 6), "s3": F(3, 6)},
+        {"a": F(0), "b": F(1), "c": F(2)},
+    )
+    m = GsleuModel(space, ospace, (level,))
+    assert m.kernel.extreme(space.full.mask) == (True, False, True)
+    built = []
+    cells = Kernel.cells
+    monkeypatch.setattr(Kernel, "cells", lambda self, mask: built.append(mask) or cells(self, mask))
+    pairs = {
+        "c": (("a", "a", "b"), ("a", "a", "a")),
+        "b": (("b", "c", "c"), ("a", "b", "c")),
+        "a": (("a", "b", "c"), ("a", "a", "b")),
+    }
+    for constant, (x, y) in pairs.items():
+        built.clear()
+        got = strong_conditional_strict(m, space.full, act_of(m, *x), act_of(m, *y))
+        assert (got.savage_strict, got.failing_constant) == (True, constant)
+        assert built == ([space.full.mask] if constant == "b" else [])
