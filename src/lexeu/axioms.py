@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .acts import Act, constant_act, splice
-from .caps import PARTITION_ENUM_CAP, check_state_count
-from .errors import CapExceeded
-from .events import Event, bell_number, partition_masks
+from .caps import check_partition_count, check_state_count
+from .events import Event, first_partition
 from .model import sign
 from .preference import DEGENERATE, Ordering, weakly_preferred
 
@@ -342,14 +341,11 @@ def _eval_p5(fam: _Fam) -> bool:
 def _eval_p6(fam: _Fam, a: int, x: Assignment, y: Assignment, z: Assignment) -> bool:
     if not _strict(fam.cmp(a, x, y)):
         return True
-    for cells in partition_masks(_members(a)):
-        if all(
-            _strict(fam.cmp(a, x, splice(z, cell, y)))
-            and _strict(fam.cmp(a, splice(z, cell, x), y))
-            for cell in cells
-        ):
-            return True
-    return False
+    return first_partition(
+        _members(a),
+        lambda cell: _strict(fam.cmp(a, x, splice(z, cell, y)))
+        and _strict(fam.cmp(a, splice(z, cell, x), y)),
+    ) is not None
 
 
 def _eval_se_first(fam: _Fam, chain: tuple[int, ...], b: int) -> bool:
@@ -536,11 +532,8 @@ def _check_p5(fam: _Fam, budget: int) -> AxiomReport:
 
 
 def _check_p6(fam: _Fam, budget: int) -> AxiomReport:
-    n = fam.space.size
     # an instance at S searches up to Bell(n) partitions
-    if bell_number(n) > PARTITION_ENUM_CAP:
-        msg = f"P6.5 partition search over {n} states exceeds cap"
-        raise CapExceeded(msg, needed=bell_number(n), cap=PARTITION_ENUM_CAP)
+    check_partition_count(fam.space.size, "P6.5 partition search")
     consts = fam.const_xs
     # partition search makes each instance heavy, so the pair budget is
     # charged a per-instance weight up front

@@ -2,7 +2,9 @@
 
 Full enumeration of acts (m^n), of the event powerset (2^n) and of one
 event's partitions (Bell(|A|)) is central to the exhaustive checks, so all
-three are guarded.  The act cap can be overridden with the LEXEU_CAP
+three are guarded, each by one check here.  The partition check guards the
+one partition search (events.first_partition) shared by strong
+conditioning and P6.5.  The act cap can be overridden with the LEXEU_CAP
 environment variable, or by an explicit cap passed to enumerate_acts.
 """
 from __future__ import annotations
@@ -45,4 +47,25 @@ def check_state_count(n: int) -> None:
             f"powerset enumeration over {n} states exceeds cap {DEFAULT_STATE_CAP}",
             needed=n,
             cap=DEFAULT_STATE_CAP,
+        )
+
+
+def bell_number(n: int) -> int:
+    """Number of partitions of an n-element set (triangle recurrence)."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def check_partition_count(n: int, search: str = "partition search") -> None:
+    """CapExceeded if a set of n states has more than PARTITION_ENUM_CAP
+    partitions; search names the search in the message."""
+    needed = bell_number(n)
+    if needed > PARTITION_ENUM_CAP:
+        raise CapExceeded(
+            f"{search} over {n} states exceeds cap", needed=needed, cap=PARTITION_ENUM_CAP
         )

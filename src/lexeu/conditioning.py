@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .acts import Act, enumerate_acts
 from .errors import EmptyEvent
-from .events import Event, Partition
+from .events import Event, Partition, first_partition
 from .kernel import Cells, Kernel
 from .model import GsleuModel
 from .preference import (
@@ -62,10 +62,11 @@ def _strong_partitions(
     kern: Kernel, mask: int, diff: list[int], x: Sequence[int], y: Sequence[int]
 ) -> list[tuple[int, ...] | None]:
     """Per constant c, best first: the first partition of the event
-    (singletons, then kern.partitions order) each of whose cells C keeps
-    diff + Σ steps[i][c][x[i]] and diff − Σ steps[i][c][y[i]], over i in C
-    at i's level, lexicographically positive.  diff is kern.difference(mask,
-    x, y).  The list ends at the first constant with none, as None.
+    (singletons, then events.first_partition's order) each of whose cells
+    C keeps diff + Σ steps[i][c][x[i]] and diff − Σ steps[i][c][y[i]], over
+    i in C at i's level, lexicographically positive.  diff is
+    kern.difference(mask, x, y).  The list ends at the first constant with
+    none, as None.
 
     Both sums are taken packed (Kernel.packed), so a cell's verdict is the
     sign of two ints.  When the singletons fail for an extreme constant
@@ -74,8 +75,8 @@ def _strong_partitions(
     least d > 0 and the second only falls as states join a cell, so the
     cell holding the failing state fails too (swap the sums for a weakly
     worst c).  For any other constant one subset-sum pass over the event's
-    submasks decides every cell at once, and the partition is read off the
-    cells that pass.  Kernel.extreme checks the partition cap before
+    submasks decides every cell at once, and first_partition asks the set
+    of cells that pass.  Kernel.extreme checks the partition cap before
     either."""
     steps = kern.packed[1]
     d = kern.pack(diff)
@@ -99,19 +100,19 @@ def _strong_partitions(
 def _first_fit(
     table: Cells, step: Sequence[Sequence[int]], d: int, x: Sequence[int], y: Sequence[int]
 ) -> tuple[int, ...] | None:
-    """The first partition of table's event that is not the singletons and
-    each of whose cells passes, where step[i][o] is the packed change at
-    state i when the constant replaces o.  Each cell's two sums extend
-    those of the cell without its lowest state."""
+    """The first partition of table's event each of whose cells passes,
+    where step[i][o] is the packed change at state i when the constant
+    replaces o.  Each cell's two sums extend those of the cell without its
+    lowest state."""
     up = [d] * (len(table.subsets) + 1)
     down = up[:]
-    good = 0
-    for t, (i, rest) in enumerate(table.subsets, 1):
+    good = set()
+    for t, (cell, i, rest) in enumerate(table.subsets, 1):
         u = up[t] = up[rest] + step[i][x[i]]
         v = down[t] = down[rest] - step[i][y[i]]
         if u > 0 < v:
-            good |= 1 << t
-    return next((p for p, bits in zip(table.partitions, table.bits) if not bits & ~good), None)
+            good.add(cell)
+    return first_partition(table.members, good.__contains__)
 
 
 def strong_conditional_strict(

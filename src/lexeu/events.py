@@ -7,9 +7,9 @@ order (members, powerset, partitions) is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .caps import check_state_count
+from .caps import bell_number, check_state_count  # bell_number: re-exported
 from .errors import EmptyEvent, SpaceMismatch, UnknownState
 
 
@@ -168,18 +168,16 @@ def partition_masks(members: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from rec(1)
 
 
+def first_partition(
+    members: Sequence[int], passes: Callable[[int], bool]
+) -> tuple[int, ...] | None:
+    """The first partition in partition_masks order each of whose cells
+    passes, or None.  passes is asked cell by cell, in block order, and a
+    partition is dropped at its first failing cell."""
+    return next((p for p in partition_masks(members) if all(map(passes, p))), None)
+
+
 def singleton_partition(a: Event) -> Partition:
     if a.is_empty:
         raise EmptyEvent("cannot partition the empty event")
     return tuple(Event(a.space, 1 << i) for i in a.members)
-
-
-def bell_number(n: int) -> int:
-    """Number of partitions of an n-element set (triangle recurrence)."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]

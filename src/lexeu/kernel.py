@@ -23,9 +23,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .caps import PARTITION_ENUM_CAP
-from .errors import CapExceeded
-from .events import bell_number, partition_masks
+from .caps import check_partition_count
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -36,19 +34,18 @@ def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 
 
 class Cells(NamedTuple):
-    """The cells of one event's partitions, indexed by their submask of the
+    """The cells of one event, indexed 1, 2, ... by their submask of the
     event read as a |A|-bit number (bit j for the event's j-th state)."""
 
-    subsets: tuple[tuple[int, int], ...]  # per index 1, 2, ...: (lowest state, index of the rest)
-    partitions: tuple[tuple[int, ...], ...]  # all but the singletons, kern.partitions order
-    bits: tuple[int, ...]  # per partition: bit t set for each cell of index t
+    members: tuple[int, ...]  # the event's states
+    subsets: tuple[tuple[int, int, int], ...]  # per index: (cell mask, lowest state, index of the rest)
 
 
 class Kernel:
     """Per level: integer probabilities (full length, zero off the support)
     and integer utilities; per event mask, lazily, the class and the states
     of the event that carry weight at it (its core), its members, its
-    extreme constants and the cell table of its partitions."""
+    extreme constants and its cell table."""
 
     def __init__(self, levels) -> None:
         self.support = tuple(lv.support.mask for lv in levels)
@@ -117,25 +114,16 @@ class Kernel:
             got = self._members[mask] = tuple(i for i in range(self.size) if mask >> i & 1)
         return got
 
-    def partitions(self, mask: int) -> tuple[tuple[int, ...], ...]:
-        """Every partition of the event as block masks, in
-        enumerate_partitions' order; cells' one source of partitions."""
-        return tuple(partition_masks(self.members(mask)))
-
     def extreme(self, mask: int) -> tuple[bool, ...]:
         """Per constant c: whether c is weakly best or weakly worst at every
         state of the nonempty event, that is, its packed steps[i][c][o] share
         one sign over every outcome o and every state i of the event.  A
         partition search of the event reads these first, so the partition
-        cap is checked here: CapExceeded if the event has more than
-        PARTITION_ENUM_CAP partitions."""
+        cap is checked here (caps.check_partition_count)."""
         got = self._extreme.get(mask)
         if got is None:
             members = self.members(mask)
-            needed = bell_number(len(members))
-            if needed > PARTITION_ENUM_CAP:
-                msg = f"partition search over {len(members)} states exceeds cap"
-                raise CapExceeded(msg, needed=needed, cap=PARTITION_ENUM_CAP)
+            check_partition_count(len(members))
             rows = [self.packed[1][i] for i in members]
             got = self._extreme[mask] = tuple(
                 all(s >= 0 for row in rows for s in row[c])
@@ -145,23 +133,17 @@ class Kernel:
         return got
 
     def cells(self, mask: int) -> Cells:
-        """The cell table of a nonempty event, built once.  It does not
-        check the partition cap: a search reads extreme, which does, first."""
+        """The cell table of a nonempty event, built once for the
+        subset-sum pass of a partition search.  It does not check the
+        partition cap: a search reads extreme, which does, first."""
         got = self._cells.get(mask)
         if got is None:
             members = self.members(mask)
-            subsets = tuple(
-                (members[(t & -t).bit_length() - 1], t & (t - 1))
-                for t in range(1, 1 << len(members))
-            )
-
-            def index(cell: int) -> int:
-                return sum(1 << j for j, i in enumerate(members) if cell >> i & 1)
-
-            singles = tuple(1 << i for i in members)
-            partitions = tuple(p for p in self.partitions(mask) if p != singles)
-            bits = tuple(sum(1 << index(cell) for cell in p) for p in partitions)
-            got = self._cells[mask] = Cells(subsets, partitions, bits)
+            subsets: list[tuple[int, int, int]] = []
+            for t in range(1, 1 << len(members)):
+                i, rest = members[(t & -t).bit_length() - 1], t & (t - 1)
+                subsets.append(((subsets[rest - 1][0] if rest else 0) | 1 << i, i, rest))
+            got = self._cells[mask] = Cells(members, tuple(subsets))
         return got
 
     def event(self, mask: int) -> tuple[int, tuple[int, ...]]:

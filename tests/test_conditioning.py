@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import act_of, build_m0, coprime_affine_model, ev, random_model
+from lexeu import events
 from lexeu.acts import Act, OutcomeSpace, compose, constant_act, enumerate_acts
 from lexeu.caps import PARTITION_ENUM_CAP
 from lexeu.conditioning import (
@@ -163,10 +164,10 @@ def test_partition_search_is_capped_before_it_starts(monkeypatch):
     m = GsleuModel(space, ospace, (level,))
     x, y = act_of(m, "b", *"a" * 8), act_of(m, *"a" * 9)
 
-    def enumerated(self, mask):
+    def enumerated(members):
         raise AssertionError("partitions enumerated past the cap")
 
-    monkeypatch.setattr(Kernel, "partitions", enumerated)
+    monkeypatch.setattr(events, "partition_masks", enumerated)
     with pytest.raises(CapExceeded) as strong:
         strong_conditional_strict(m, space.full, x, y)
     with pytest.raises(CapExceeded) as census:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from lexeu.events import (
     StateSpace,
     bell_number,
     enumerate_partitions,
+    first_partition,
     partition_masks,
     singleton_partition,
 )
@@ -132,3 +134,57 @@ def test_partition_masks_follow_restricted_growth_order():
             expected = _restricted_growth_masks(members)
             assert list(partition_masks(members)) == expected
             assert [tuple(b.mask for b in p) for p in enumerate_partitions(a)] == expected
+
+
+def _first_passing_by_enumeration(a: Event, passes, calls: list) -> tuple[int, ...] | None:
+    """The first partition from enumerate_partitions whose cells all pass,
+    asking passes cell by cell and stopping a partition at its first
+    failing cell."""
+    for partition in enumerate_partitions(a):
+        for block in partition:
+            calls.append(block.mask)
+            if not passes(block.mask):
+                break
+        else:
+            return tuple(block.mask for block in partition)
+    return None
+
+
+def test_first_partition_is_the_first_partition_whose_cells_all_pass():
+    # seeded pass tables over events of 1 to 7 of 8 states: arbitrary
+    # tables, tables a subset sum decides (as in strong conditioning), and
+    # tables no partition passes; the predicate is asked the same cells in
+    # the same order as the by-definition walk
+    rng = random.Random(7171)
+    space = StateSpace(tuple(f"x{i}" for i in range(8)))
+    found = missing = 0
+    for t in range(600):
+        n = 1 + t % 7
+        members = tuple(sorted(rng.sample(range(8), n)))
+        a = Event(space, sum(1 << i for i in members))
+        cells = [c for c in range(1, a.mask + 1) if c & a.mask == c]
+        if t % 3 == 0:
+            share = rng.random()
+            table = {c: rng.random() < share for c in cells}
+        elif t % 3 == 1:
+            d = rng.randint(1, 9)
+            up = {i: rng.randint(-6, 4) for i in members}
+            down = {i: rng.randint(-4, 6) for i in members}
+            table = {
+                c: d + sum(up[i] for i in members if c >> i & 1) > 0
+                < d - sum(down[i] for i in members if c >> i & 1)
+                for c in cells
+            }
+        else:
+            # the one-state cell of a drawn state fails, and so does every
+            # cell holding it
+            bad = rng.choice(members)
+            table = {c: not c >> bad & 1 and rng.random() < 0.8 for c in cells}
+        asked, expected_calls = [], []
+        got = first_partition(members, lambda c: asked.append(c) or table[c])
+        expected = _first_passing_by_enumeration(a, table.__getitem__, expected_calls)
+        assert got == expected
+        assert asked == expected_calls
+        found += got is not None
+        missing += got is None
+    assert found > 100 and missing > 200
