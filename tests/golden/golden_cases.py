@@ -1,6 +1,6 @@
 """Golden digests: outputs that a refactor must leave byte for byte.
 
-Each case renders one output as bytes, a repr or the CLI's stdout, and
+Each case renders one output as bytes, a repr or the CLI's output, and
 digests.json maps the case name to the SHA-256 of those bytes.  After an
 intended change of output, regenerate the file from the repository root with
 
@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import tempfile
@@ -23,11 +24,12 @@ if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent))  # conftest and the test modules' helpers
 
 from conftest import build_m0, coprime_affine_model, random_model  # noqa: E402
-from test_axioms import _partial  # noqa: E402
+from test_axioms import DEFECTS, _partial  # noqa: E402
 from test_conditioning import _mixed_order_models  # noqa: E402
+from test_synthesis import _swapped  # noqa: E402
 
 from lexeu import io as lexeu_io  # noqa: E402
-from lexeu.acts import Act, enumerate_acts  # noqa: E402
+from lexeu.acts import Act, constant_act, enumerate_acts  # noqa: E402
 from lexeu.axioms import check_all  # noqa: E402
 from lexeu.cli import main  # noqa: E402
 from lexeu.conditioning import (  # noqa: E402
@@ -35,9 +37,11 @@ from lexeu.conditioning import (  # noqa: E402
     savage_conditional,
     strong_conditional_strict,
 )
+from lexeu.errors import LexeuError  # noqa: E402
 from lexeu.events import Event  # noqa: E402
-from lexeu.family import ModelBackedFamily, derive_table  # noqa: E402
+from lexeu.family import ModelBackedFamily, TableBackedFamily, derive_table  # noqa: E402
 from lexeu.preference import Ordering  # noqa: E402
+from lexeu.synthesis import infer_hierarchy, synthesize  # noqa: E402
 
 
 def _observability(model, acts=None) -> bytes:
@@ -68,44 +72,162 @@ def _p6(family) -> bytes:
 
 
 def _cli(*argvs: tuple[str, ...]) -> bytes:
-    """Exit code and stdout of each run, in order."""
+    """Exit code, stdout and stderr of each run, in order."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         for argv in argvs:
             code = main(list(argv))
             print(f"-- exit {code}")
     return out.getvalue().encode()
 
 
+@contextlib.contextmanager
+def _workdir():
+    """A fresh temporary directory as the working directory, so that the
+    CLI reads and writes files by names that hold no temporary path."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            yield Path(d)
+        finally:
+            os.chdir(home)
+
+
 def _cli_cases() -> dict:
-    """lexeu condition --strong and lexeu axioms --suite all on M0, text and
-    --json, from files in a temporary directory named in no output."""
+    """The CLI on M0, text and --json: lexeu condition --strong and lexeu
+    axioms --suite all; every other command on seeded acts and events; and
+    synthesize -o on M0's table and on a table with two adjacent tiers
+    swapped, with the model file it writes."""
     m = build_m0()
     acts = list(enumerate_acts(m.space, m.outcome_space))
     rng = random.Random("golden-cli")
     pairs = [tuple(rng.sample(acts, 2)) for _ in range(4)]
-    events = [",".join(Event(m.space, mask).labels) for mask in range(1, 16)]
+
+    def label(mask: int) -> str:
+        return ",".join(Event(m.space, mask).labels)
+
+    events = [label(mask) for mask in range(1, 16)]
+    table = derive_table(m)
+    rng = random.Random("golden-cli-m0")
+    nullity = []
+    qualprob = [("s1", "s1,s2", "s2")]  # B is no subevent of A: exit 2
+    for _ in range(20):
+        a = rng.randrange(1, 16)
+        nullity.append((label(a & rng.randrange(16)), label(a)))
+        qualprob.append((label(a), label(a & rng.randrange(16)), label(a & rng.randrange(16))))
 
     def run(fmt: tuple[str, ...]) -> dict:
-        with tempfile.TemporaryDirectory() as d:
-            model = str(Path(d) / "M0.json")
-            Path(model).write_text(lexeu_io.dump_json(lexeu_io.model_to_dict(m)))
+        out = {}
+        with _workdir() as d:
+            (d / "M0.json").write_text(lexeu_io.dump_json(lexeu_io.model_to_dict(m)))
+            (d / "T0.json").write_text(lexeu_io.dump_json(lexeu_io.table_to_dict(table)))
+            (d / "T0-swap.json").write_text(
+                lexeu_io.dump_json(lexeu_io.table_to_dict(_swapped(table, 3, 0)))
+            )
             files = []
             for k, act in enumerate(act for pair in pairs for act in pair):
-                path = Path(d) / f"act{k}.json"
-                path.write_text(lexeu_io.dump_json(lexeu_io.act_to_dict(f"act{k}", act)))
-                files.append(str(path))
-            condition = _cli(*(
-                ("condition", model, event, files[2 * p], files[2 * p + 1], "--strong", *fmt)
-                for p in range(len(pairs)) for event in events
+                path = f"act{k}.json"
+                (d / path).write_text(lexeu_io.dump_json(lexeu_io.act_to_dict(f"act{k}", act)))
+                files.append(path)
+            duels = [(files[2 * p], files[2 * p + 1]) for p in range(len(pairs))]
+            out["condition-strong"] = _cli(*(
+                ("condition", "M0.json", event, f, g, "--strong", *fmt)
+                for f, g in duels for event in events
             ))
-            axioms = _cli(("axioms", model, "--suite", "all", "--budget", "20000", *fmt))
-        return condition, axioms
+            out["axioms-all"] = _cli(("axioms", "M0.json", "--suite", "all", "--budget", "20000", *fmt))
+            out["validate"] = _cli(("validate", "M0.json", *fmt))
+            out["compare"] = _cli(*(("compare", "M0.json", f, g, *fmt) for f, g in duels))
+            for mode in ("savage", "naive"):
+                flag = () if mode == "savage" else ("--naive",)
+                out[f"condition-{mode}"] = _cli(*(
+                    ("condition", "M0.json", event, f, g, *flag, *fmt)
+                    for f, g in duels[:2] for event in events
+                ))
+            out["classes-enumerate"] = _cli(("classes", "M0.json", "--enumerate", *fmt))
+            out["nullity"] = _cli(*(("nullity", "M0.json", b, a, *fmt) for b, a in nullity))
+            out["qualprob"] = _cli(*(("qualprob", "M0.json", *t, *fmt) for t in qualprob))
+            out["lottery-one"] = _cli(*(("lottery", "M0.json", event, files[0], *fmt) for event in events))
+            out["lottery-two"] = _cli(*(
+                ("lottery", "M0.json", event, files[0], files[1], *fmt) for event in events
+            ))
+            out["derive-table"] = _cli(("derive-table", "M0.json", *fmt)) + _cli(
+                ("derive-table", "M0.json", "-o", "T1.json", *fmt)
+            ) + (d / "T1.json").read_bytes()
+            out["observability"] = _cli(("observability", "M0.json", *fmt))
+            for name, path in (("M0", "T0.json"), ("swap", "T0-swap.json")):
+                written = d / "S.json"
+                written.unlink(missing_ok=True)
+                got = _cli(("synthesize", path, "-o", "S.json", *fmt))
+                out[f"synthesize/{name}"] = got + (written.read_bytes() if written.exists() else b"")
+        return out
 
     cases = {}
-    for name, fmt in (("text", ()), ("json", ("--json",))):
-        cases[f"cli/condition-strong/M0/{name}"], cases[f"cli/axioms-all/M0/{name}"] = run(fmt)
+    for fmt_name, fmt in (("text", ()), ("json", ("--json",))):
+        for command, data in run(fmt).items():
+            if command in ("condition-strong", "axioms-all"):
+                cases[f"cli/{command}/M0/{fmt_name}"] = data
+            else:
+                cases[f"cli/M0/{command}/{fmt_name}"] = data
     return cases
+
+
+def _synthesized(table: TableBackedFamily) -> bytes:
+    """synthesize's model bytes and diagnostics; or its error's type,
+    message, needed and cap, and the gate's reports or the round trip's
+    witness where the error carries them."""
+    try:
+        result = synthesize(table)
+    except LexeuError as exc:
+        fields = [type(exc).__name__, str(exc)]
+        fields += [getattr(exc, key, None) for key in ("needed", "cap", "reports", "witness")]
+        return repr(fields).encode()
+    model = lexeu_io.dump_json(lexeu_io.model_to_dict(result.model))
+    return (model + repr(result.diagnostics)).encode()
+
+
+def _without(table: TableBackedFamily, name: str) -> TableBackedFamily:
+    """The table with one act taken out of it and of every ranking."""
+
+    def cut(tiers):
+        return tuple(t for t in (tuple(n for n in tier if n != name) for tier in tiers) if t)
+
+    acts = {n: a for n, a in table.acts.items() if n != name}
+    tiers = {m: cut(t) for m, t in table.tiers.items()}
+    return TableBackedFamily(table.space, table.outcome_space, acts, tiers, cut(table.unconditional))
+
+
+def _synthesis_cases() -> dict:
+    """synthesize on M0's table and on seeded full, swapped and partial
+    tables of 2-4 states and 2-4 outcomes, on two partial tables without a
+    constant act and on a 4-outcome table past the joint search's limit;
+    infer_hierarchy on the full tables; and the whole suite on each
+    planted-defect table."""
+    m0 = build_m0()
+    full = {"M0": derive_table(m0)}
+    raw = {"synthesis/M0/full": _synthesized(full["M0"])}
+    for n, o in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2)):
+        rng = random.Random(f"golden-synth-{n}-{o}")
+        model = random_model(rng, n, n, n_outcomes=o)
+        table = full[f"{n}x{o}"] = derive_table(model)
+        mask = rng.choice(sorted(k for k, t in table.tiers.items() if len(t) >= 2))
+        swapped = _swapped(table, mask, rng.randrange(len(table.tiers[mask]) - 1))
+        raw[f"synthesis/{n}x{o}/full"] = _synthesized(table)
+        raw[f"synthesis/{n}x{o}/swap"] = _synthesized(swapped)
+        raw[f"synthesis/{n}x{o}/partial"] = _synthesized(_partial(model, rng.randrange(1000), 0.5))
+    # one such table passes the gate, the other (with a swap) does not
+    model = random_model(random.Random("golden-synth-no-constant"), 3, 3)
+    for name, swap in (("partial-no-constant", False), ("partial-swap-no-constant", True)):
+        partial = _partial(model, 3, 0.5, swap=swap)
+        constant = constant_act(partial.outcome_space.outcomes[0], partial.space, partial.outcome_space)
+        raw[f"synthesis/3x3/{name}"] = _synthesized(_without(partial, partial.name_of(constant)))
+    cap = random_model(random.Random("golden-cap-7"), 2, 2, n_outcomes=4)
+    raw["synthesis/2x4/joint-limit"] = _synthesized(derive_table(cap))
+    for name, table in full.items():
+        raw[f"hierarchy/{name}"] = repr(infer_hierarchy(table)).encode()
+    for axiom_id, build in DEFECTS.items():
+        raw[f"suite/defect-{axiom_id}"] = repr(check_all(build(), budget=20_000)).encode()
+    return raw
 
 
 def compute() -> dict[str, str]:
@@ -129,6 +251,7 @@ def compute() -> dict[str, str]:
     raw["p6/M0/partial"] = _p6(_partial(m0, 1, 0.2))
     raw["p6/random3/partial"] = _p6(_partial(random_model(random.Random(23), 3, 3), 2, 0.3))
     raw.update(_cli_cases())
+    raw.update(_synthesis_cases())
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(raw.items())}
 
 
