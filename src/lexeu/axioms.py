@@ -681,13 +681,17 @@ def check_axiom(family, axiom_id: str, budget: int = DEFAULT_BUDGET) -> AxiomRep
 def check_all(
     family, budget: int = DEFAULT_BUDGET, ids: Iterable[str] = AXIOM_IDS
 ) -> SuiteReport:
-    fam = _Fam(family)
+    return _suite(_Fam(family), budget, ids)
+
+
+def _suite(fam: _Fam, budget: int, ids: Iterable[str]) -> SuiteReport:
+    """The checkers of ids, in order, on one view."""
     reports = []
     for axiom_id in ids:
+        fam.skipped = 0  # each report counts the skips of its own checker
         report = _CHECKERS[axiom_id](fam, budget)
         if fam.skipped:
             report.statistics["skipped_missing_composites"] = fam.skipped
-            fam.skipped = 0
         reports.append(report)
     return SuiteReport(tuple(reports))
 

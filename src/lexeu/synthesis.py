@@ -33,7 +33,7 @@ from .axioms import (
     _prize_pair,
     _qp_masses,
     _submasks,
-    check_axiom,
+    _suite,
 )
 from .errors import (
     AxiomPrecheckFailed,
@@ -69,8 +69,8 @@ class SynthesisResult:
     verified: bool
 
 
-def _gate(table: TableBackedFamily, ids: Sequence[str], budget: int) -> dict[str, AxiomReport]:
-    reports = {axiom_id: check_axiom(table, axiom_id, budget) for axiom_id in ids}
+def _gate(fam: _Fam, ids: Sequence[str], budget: int) -> dict[str, AxiomReport]:
+    reports = {r.axiom_id: r for r in _suite(fam, budget, ids).reports}
     violated = tuple(r for r in reports.values() if r.status is AxiomStatus.VIOLATED)
     if violated:
         names = ", ".join(r.axiom_id for r in violated)
@@ -83,7 +83,15 @@ def _gate(table: TableBackedFamily, ids: Sequence[str], budget: int) -> dict[str
 # -- stage 1: hierarchy ------------------------------------------------------
 
 
-def infer_hierarchy(table: TableBackedFamily, *, precheck: bool = True) -> ClassPartition:
+def infer_hierarchy(table: TableBackedFamily) -> ClassPartition:
+    """The table's nullity classes, once it passes the axioms of the
+    indexed rankings (HIERARCHY_IDS); AxiomPrecheckFailed otherwise."""
+    fam = _Fam(table)
+    _gate(fam, HIERARCHY_IDS, PRECHECK_BUDGET)
+    return _hierarchy(fam)
+
+
+def _hierarchy(fam: _Fam) -> ClassPartition:
     """Group the nonempty events into classes ordered by relative nullity.
 
     Nullity is read straight off the table: B is null at A when the
@@ -92,28 +100,22 @@ def infer_hierarchy(table: TableBackedFamily, *, precheck: bool = True) -> Class
     not; classes are the mutually non-outranking groups, listed from the
     most probable down.
     """
-    if precheck:
-        _gate(table, HIERARCHY_IDS, PRECHECK_BUDGET)
-    space = table.space
-    fam = _Fam(table)
     groups: list[list[int]] = []
-    for ev in space.all_events():
-        if ev.is_empty:
-            continue
+    for mask in range(1, fam.full + 1):
         for group in groups:
             rep = group[0]
-            if not fam.gg(ev.mask, rep) and not fam.gg(rep, ev.mask):
-                group.append(ev.mask)
+            if not fam.gg(mask, rep) and not fam.gg(rep, mask):
+                group.append(mask)
                 break
         else:
-            groups.append([ev.mask])
+            groups.append([mask])
 
     def higher_first(a: list[int], b: list[int]) -> int:
         return -1 if fam.gg(a[0], b[0]) else 1
 
     groups.sort(key=cmp_to_key(higher_first))
     return ClassPartition(
-        tuple(tuple(Event(space, m) for m in group) for group in groups)
+        tuple(tuple(Event(fam.space, m) for m in group) for group in groups)
     )
 
 
@@ -161,19 +163,10 @@ def measure_from_order(
     return {a: result.assignment[a] for a in atoms}, system
 
 
-def _view(table: TableBackedFamily) -> _Fam:
-    """The table's rank oracle.  Fitting reads every constant act, so a
-    partial table has to list them all."""
-    fam = _Fam(table)
-    for act in fam.constants.values():
-        table.name_of(act)
-    return fam
-
-
-def _prize_constants(table: TableBackedFamily) -> tuple[Act, Act]:
-    best, worst = _prize_pair(_view(table))
+def _prize_constants(fam: _Fam) -> tuple[Act, Act]:
+    best, worst = _prize_pair(fam)
     if best is None:
-        report = check_axiom(table, "P5.5")
+        report = _suite(fam, PRECHECK_BUDGET, ("P5.5",)).reports[0]
         raise AxiomPrecheckFailed("no strictly ranked constant acts", reports=(report,))
     return best, worst
 
@@ -188,7 +181,7 @@ def _bet_order(
     emitted; transitivity recovers every other pair, so the realizing
     measures are the same with far fewer rows.
     """
-    best, worst = _prize_constants(fam.family)
+    best, worst = _prize_constants(fam)
     space = fam.space
     scores = _qp_masses(fam, at.mask, supp.mask, best.assignment, worst.assignment)
     if scores is None:  # name the first bet the table lacks
@@ -781,10 +774,13 @@ def _first_mismatch(expected: TableBackedFamily, produced: TableBackedFamily):
 def synthesize(
     table: TableBackedFamily, *, precheck_budget: int = PRECHECK_BUDGET
 ) -> SynthesisResult:
-    """Reconstruct a model reproducing the table, or explain why not."""
-    reports = _gate(table, PRECHECK_IDS, precheck_budget)
-    partition = infer_hierarchy(table, precheck=False)
-    fam = _view(table)
+    """Reconstruct a model reproducing the table, or explain why not.
+    Every stage reads one view of the table."""
+    fam = _Fam(table)
+    reports = _gate(fam, PRECHECK_IDS, precheck_budget)
+    partition = _hierarchy(fam)
+    for act in fam.constants.values():  # every fit reads them all
+        table.name_of(act)
     space = table.space
     outcomes = table.outcome_space.outcomes
 

@@ -350,7 +350,7 @@ def _partial(model: GsleuModel, seed: int, share: float, swap: bool = False):
     seeded event."""
     rng = random.Random(seed)
     table = derive_table(model)
-    best, worst = _prize_constants(table)
+    best, worst = _prize_constants(_Fam(table))
     keep = set()
     for o in table.outcome_space.outcomes:
         keep.add(table.name_of(constant_act(o, table.space, table.outcome_space)))

@@ -11,6 +11,7 @@ from conftest import build_m0, random_model
 from test_axioms import _p0_defect, _p2_defect, flat2
 from lexeu import synthesis
 from lexeu.acts import OutcomeSpace, compose, constant_act
+from lexeu.axioms import _Fam
 from lexeu.errors import (
     AxiomPrecheckFailed,
     CapExceeded,
@@ -26,8 +27,8 @@ from lexeu.preference import class_partition
 from lexeu.synthesis import (
     _first_mismatch,
     _fit_class,
+    _hierarchy,
     _prize_constants,
-    _view,
     infer_hierarchy,
     measure_from_order,
     synthesize,
@@ -89,7 +90,24 @@ def test_m0_round_trip_verified():
 
 def test_m0_hierarchy_matches_source_partition():
     assert infer_hierarchy(M0_TABLE) == class_partition(M0)
-    assert infer_hierarchy(M0_TABLE, precheck=False) == class_partition(M0)
+    assert _hierarchy(_Fam(M0_TABLE)) == class_partition(M0)
+
+
+def test_one_view_per_call(monkeypatch):
+    # the gate, the hierarchy and every class's fit read one view of the table
+    built = []
+    init = _Fam.__init__
+
+    def counted(self, family):
+        built.append(family)
+        init(self, family)
+
+    monkeypatch.setattr(_Fam, "__init__", counted)
+    synthesize(M0_TABLE)
+    assert len(built) == 1
+    built.clear()
+    infer_hierarchy(M0_TABLE)
+    assert len(built) == 1
 
 
 def test_single_level_table_gives_one_class():
@@ -101,8 +119,9 @@ def test_single_level_table_gives_one_class():
 
 def _fit(table: TableBackedFamily, k: int) -> tuple:
     """_fit_class on the table's k-th class, counted from 1."""
-    part = infer_hierarchy(table, precheck=False)
-    return _fit_class(_view(table), part.supports[k - 1], part.top_events[k - 1])
+    fam = _Fam(table)
+    part = _hierarchy(fam)
+    return _fit_class(fam, part.supports[k - 1], part.top_events[k - 1])
 
 
 def test_m0_frozen_measures():
@@ -177,7 +196,7 @@ def test_precheck_gate_blocks_bad_tables():
 
 def _constants_and_bets(skip: int | None = None) -> dict:
     """M0's constant acts and its bets on every event but `skip`, by name."""
-    best, worst = _prize_constants(M0_TABLE)
+    best, worst = _prize_constants(_Fam(M0_TABLE))
     keep = {}
     for o in M0_TABLE.outcome_space.outcomes:
         c = constant_act(o, M0_TABLE.space, M0_TABLE.outcome_space)
@@ -302,8 +321,8 @@ def _row(c) -> str:
 def _class_fits(table: TableBackedFamily) -> list[tuple]:
     """_fit_class per class, top class first: (measure, utility, strategy)
     as strings, or (error type, message, certificate row set)."""
-    fam = _view(table)
-    part = infer_hierarchy(table, precheck=False)
+    fam = _Fam(table)
+    part = _hierarchy(fam)
     out = []
     for supp, top in zip(part.supports, part.top_events):
         try:
