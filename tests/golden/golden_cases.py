@@ -67,6 +67,23 @@ def _strong_batch(n: int) -> bytes:
     return "\n".join(lines).encode()
 
 
+def _census_cases() -> dict:
+    """Whole observability_check reprs of 20 seeded models shaped like the
+    census workload's (3 states with 3 outcomes and 4 states with 2, at
+    2:1), and whole-suite check_all reports at budget 20,000 on three
+    seeded 3-state and three seeded 4-state models."""
+    raw = {}
+    for i in range(20):
+        n, o = ((3, 3), (3, 3), (4, 2))[i % 3]
+        m = random_model(random.Random(f"golden-census-{i}"), n, n, n_outcomes=o)
+        raw[f"observability/census/{i}-{n}x{o}"] = _observability(m)
+    for n in (3, 4):
+        for k in range(3):
+            m = random_model(random.Random(f"golden-suite-{n}-{k}"), n, n)
+            raw[f"suite/random{n}/{k}"] = repr(check_all(ModelBackedFamily(m), budget=20_000)).encode()
+    return raw
+
+
 def _p6(family) -> bytes:
     return repr(check_all(family, ids=("P6.5",))).encode()
 
@@ -250,6 +267,7 @@ def compute() -> dict[str, str]:
     raw["p6/M0/table"] = _p6(derive_table(m0))
     raw["p6/M0/partial"] = _p6(_partial(m0, 1, 0.2))
     raw["p6/random3/partial"] = _p6(_partial(random_model(random.Random(23), 3, 3), 2, 0.3))
+    raw.update(_census_cases())
     raw.update(_cli_cases())
     raw.update(_synthesis_cases())
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(raw.items())}
