@@ -96,12 +96,10 @@ def constant_act(outcome: str, space: StateSpace, outcome_space: OutcomeSpace) -
     return Act(space, outcome_space, (idx,) * space.size)
 
 
-def enumerate_acts(
-    space: StateSpace, outcome_space: OutcomeSpace, cap: int | None = None
-) -> Iterator[Act]:
+def enumerate_acts(space: StateSpace, outcome_space: OutcomeSpace) -> Iterator[Act]:
     """All acts in lexicographic assignment order (cap-checked up front)."""
     total = outcome_space.size ** space.size
-    check_act_count(total, cap)
+    check_act_count(total)
     n, m = space.size, outcome_space.size
     assignment = [0] * n
     while True:

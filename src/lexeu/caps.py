@@ -5,7 +5,7 @@ event's partitions (Bell(|A|)) is central to the exhaustive checks, so all
 three are guarded, each by one check here.  The partition check guards the
 one partition search (events.first_partition) shared by strong
 conditioning and P6.5.  The act cap can be overridden with the LEXEU_CAP
-environment variable, or by an explicit cap passed to enumerate_acts.
+environment variable.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ def act_cap() -> int:
     return value
 
 
-def check_act_count(count: int, cap: int | None = None) -> None:
-    limit = act_cap() if cap is None else cap
+def check_act_count(count: int) -> None:
+    limit = act_cap()
     if count > limit:
         raise CapExceeded(
             f"act enumeration needs {count} acts, cap is {limit}",

@@ -30,10 +30,6 @@ class NotSubset(LexeuError):
     """An event expected to be contained in another is not."""
 
 
-class ClassMismatch(LexeuError):
-    """A level index does not match the class of the given event."""
-
-
 class NotNormalized(LexeuError):
     """Lottery weights do not sum to one."""
 

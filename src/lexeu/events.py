@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .caps import bell_number, check_state_count  # bell_number: re-exported
-from .errors import EmptyEvent, SpaceMismatch, UnknownState
+from .errors import SpaceMismatch, UnknownState
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class StateSpace:
     @property
     def empty(self) -> "Event":
         return Event(self, 0)
-
-    def singleton(self, label: str) -> "Event":
-        return Event(self, 1 << self.index(label))
 
     def all_events(self) -> Iterator["Event"]:
         """Yield the full powerset in mask order (empty event first)."""
@@ -128,24 +125,12 @@ class Event:
 Partition = tuple[Event, ...]
 
 
-def enumerate_partitions(a: Event) -> Iterator[Partition]:
-    """Yield all partitions of a nonempty event, restricted-growth order.
-
-    Each partition is a tuple of disjoint nonempty events covering `a`,
-    blocks ordered by their smallest member.  Restricted-growth strings are
-    generated lexicographically, so the one-block partition comes first and
-    the all-singletons partition last.
-    """
-    if a.is_empty:
-        raise EmptyEvent("cannot partition the empty event")
-    for masks in partition_masks(a.members):
-        yield tuple(Event(a.space, m) for m in masks)
-
-
 def partition_masks(members: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of the given state indices as tuples of block
-    masks, in enumerate_partitions' order: state i joins each open block
-    in turn, then opens a new one."""
+    masks, in restricted-growth order: state i joins each open block in
+    turn, then opens a new one.  So the one-block partition comes first
+    and the all-singletons partition last, and each partition's blocks are
+    ordered by their smallest member."""
     bits = [1 << i for i in members]
     n = len(bits)
     if not n:
@@ -175,9 +160,3 @@ def first_partition(
     passes, or None.  passes is asked cell by cell, in block order, and a
     partition is dropped at its first failing cell."""
     return next((p for p in partition_masks(members) if all(map(passes, p))), None)
-
-
-def singleton_partition(a: Event) -> Partition:
-    if a.is_empty:
-        raise EmptyEvent("cannot partition the empty event")
-    return tuple(Event(a.space, 1 << i) for i in a.members)

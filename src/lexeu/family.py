@@ -155,7 +155,16 @@ class ModelBackedFamily:
         return self.model.kernel.values(x)
 
     def signature(self, mask: int) -> tuple[int, tuple[int, ...]] | None:
-        """Class and core; equal cores within a class mean equal measures."""
+        """Class and core; None for the empty event, whose degenerate
+        ranking agrees only with itself.
+
+        Two nonempty events rank alike exactly when their classes and
+        conditional measures are equal: utilities are non-constant, so
+        distinct conditionals rank some pair of acts differently.  Within
+        one class the measure is the level's probability renormalized on
+        the core (the states of the event inside the support), and it is
+        positive exactly there, so equal measures mean equal cores.
+        """
         return self.model.kernel.event(mask) if mask else None
 
 

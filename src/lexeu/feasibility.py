@@ -22,7 +22,6 @@ ONE = Fraction(1)
 
 MAX_VARIABLES = 32
 MAX_CONSTRAINTS = 5000
-FM_MAX_VARIABLES = 8
 
 
 class Rel(enum.Enum):
@@ -92,22 +91,12 @@ class ConstraintSystem:
             if stray:
                 raise MalformedSystem(f"constraint uses undeclared variables {sorted(stray)}")
 
-    def as_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "constraints": [c.as_dict() for c in self.constraints],
-        }
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     assignment: dict[str, Fraction] | None
     slack: Fraction | None
-
-    @property
-    def status(self) -> str:
-        return "Feasible" if self.feasible else "Infeasible"
 
 
 # -- dense two-phase simplex ---------------------------------------------
@@ -164,14 +153,12 @@ def _simplex_max(
         value += coef * row[-1]
 
 
-def _standard_form(
-    sys: ConstraintSystem, eps_cap: Fraction | None
-) -> tuple[list[list[Fraction]], list[str], int | None]:
+def _standard_form(sys: ConstraintSystem) -> tuple[list[list[Fraction]], list[str], int | None]:
     """Rows in equality form over nonnegative columns.
 
     Free variables are split v = v+ - v-; GE/GT rows get surplus columns;
-    GT rows share one margin column (its index is returned), bounded by an
-    extra row when eps_cap is given.
+    GT rows share one margin column (its index is returned), capped at 1
+    by an extra row.
     """
     columns: list[str] = []
     for v in sys.variables:
@@ -186,7 +173,7 @@ def _standard_form(
     for i, c in enumerate(sys.constraints):
         if c.rel is not Rel.EQ:
             columns.append(f"s{i}")
-    if eps_col is not None and eps_cap is not None:
+    if eps_col is not None:
         columns.append("eps_cap_slack")
 
     rows: list[list[Fraction]] = []
@@ -203,11 +190,11 @@ def _standard_form(
         if c.rel is Rel.GT:
             row[eps_col] = Fraction(-1)
         rows.append(row)
-    if eps_col is not None and eps_cap is not None:
+    if eps_col is not None:
         row = [ZERO] * (len(columns) + 1)
         row[eps_col] = ONE
         row[-2] = ONE  # the cap's own slack sits in the last column
-        row[-1] = eps_cap
+        row[-1] = ONE
         rows.append(row)
     return rows, columns, eps_col
 
@@ -263,7 +250,7 @@ def solve(sys: ConstraintSystem) -> FeasibilityResult:
     if not sys.constraints:
         return FeasibilityResult(True, {v: ZERO for v in sys.variables}, None)
     strict = [c for c in sys.constraints if c.rel is Rel.GT]
-    rows, columns, eps_col = _standard_form(sys, ONE if strict else None)
+    rows, columns, eps_col = _standard_form(sys)
     started = _phase_one(rows)
     if started is None:
         return FeasibilityResult(False, None, None)
@@ -303,7 +290,7 @@ def optimize_closure(
         closed.add(c.coeffs, Rel.GE if c.rel is Rel.GT else c.rel, c.rhs)
     if not closed.constraints:
         raise MalformedSystem("nothing bounds the objective")
-    rows, columns, _ = _standard_form(closed, None)
+    rows, columns, _ = _standard_form(closed)
     started = _phase_one(rows)
     if started is None:
         return None
@@ -320,92 +307,3 @@ def optimize_closure(
         if not c.satisfied_by(assignment):
             raise AssertionError("optimizer left the feasible region")
     return sign * value, assignment
-
-
-# -- Fourier–Motzkin cross-check ------------------------------------------
-
-
-def fourier_motzkin_feasible(sys: ConstraintSystem) -> bool:
-    """Variable elimination over exact rationals, strictness tracked.
-
-    Exponential; capped to small systems and used as an independent
-    oracle for the simplex path.
-    """
-    sys.check_caps()
-    if len(sys.variables) > FM_MAX_VARIABLES:
-        raise CapExceeded(
-            f"Fourier-Motzkin elimination over {len(sys.variables)} variables, "
-            f"cap is {FM_MAX_VARIABLES}",
-            needed=len(sys.variables),
-            cap=FM_MAX_VARIABLES,
-        )
-    # (coeffs, strict, rhs) encodes coeffs . x >= rhs (> when strict)
-    ineqs: list[tuple[dict[str, Fraction], bool, Fraction]] = []
-    eqs: list[tuple[dict[str, Fraction], Fraction]] = []
-    for c in sys.constraints:
-        if c.rel is Rel.EQ:
-            eqs.append((dict(c.coeffs), c.rhs))
-        else:
-            ineqs.append((dict(c.coeffs), c.rel is Rel.GT, c.rhs))
-
-    # Gaussian-eliminate the equalities first
-    while True:
-        eqs = [(co, r) for co, r in eqs if co or r != 0]
-        pick = next(((co, r) for co, r in eqs if co), None)
-        if pick is None:
-            break
-        coeffs, rhs = pick
-        eqs.remove(pick)
-        var = sorted(coeffs)[0]
-        a = coeffs[var]
-        expr = {v: -c / a for v, c in coeffs.items() if v != var}
-        const = rhs / a  # var = const + expr . x
-
-        def subst(co: dict[str, Fraction], r: Fraction) -> tuple[dict[str, Fraction], Fraction]:
-            if var not in co:
-                return co, r
-            k = co.pop(var)
-            for v, c in expr.items():
-                co[v] = co.get(v, ZERO) + k * c
-            return {v: c for v, c in co.items() if c != 0}, r - k * const
-
-        eqs = [subst(dict(co), r) for co, r in eqs]
-        replaced = []
-        for co, strict, r in ineqs:
-            co2, r2 = subst(dict(co), r)
-            replaced.append((co2, strict, r2))
-        ineqs = replaced
-
-    if any(r != 0 for co, r in eqs):
-        return False
-
-    while True:
-        active = sorted({v for co, _, _ in ineqs for v in co})
-        if not active:
-            break
-        var = min(active, key=lambda v: sum(v in co for co, _, _ in ineqs))
-        lowers, uppers, rest = [], [], []
-        for co, strict, rhs in ineqs:
-            a = co.get(var, ZERO)
-            remainder = {v: c for v, c in co.items() if v != var}
-            if a > 0:  # var >= (rhs - remainder.x) / a
-                lowers.append(({v: -c / a for v, c in remainder.items()}, strict, rhs / a))
-            elif a < 0:  # var <= ...
-                uppers.append(({v: -c / a for v, c in remainder.items()}, strict, rhs / a))
-            else:
-                rest.append((co, strict, rhs))
-        for lo, lo_strict, lo_c in lowers:
-            for up, up_strict, up_c in uppers:
-                # lo_c + lo.x <= var <= up_c + up.x
-                co = {v: up.get(v, ZERO) - lo.get(v, ZERO) for v in set(lo) | set(up)}
-                co = {v: c for v, c in co.items() if c != 0}
-                rest.append((co, lo_strict or up_strict, lo_c - up_c))
-        ineqs = rest
-
-    for co, strict, rhs in ineqs:
-        assert not co
-        if strict and not ZERO > rhs:
-            return False
-        if not strict and not ZERO >= rhs:
-            return False
-    return True

@@ -12,14 +12,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .acts import Act
-from .errors import ClassMismatch, EmptyEvent, NotSubset, SpaceMismatch
+from .errors import EmptyEvent, NotSubset, SpaceMismatch
 from .events import Event
 from .model import (
     GsleuModel,
     ZERO,
     class_of,
     conditional_measure,
-    sign,
     top_event_chain,
 )
 
@@ -90,22 +89,6 @@ def _check_act(m: GsleuModel, f: Act) -> None:
 def _check_event(m: GsleuModel, a: Event) -> None:
     if a.space is not m.space and a.space != m.space:
         raise SpaceMismatch("event over a different state space")
-
-
-def level_eu(m: GsleuModel, k: int, a: Event, f: Act) -> Fraction:
-    """Expected utility of f at level k under the conditional measure of a.
-
-    The event must actually live at level k (its class must be k).
-    """
-    _check_act(m, f)
-    if a.is_empty:
-        raise EmptyEvent("level expected utility needs a nonempty event")
-    if class_of(m, a) != k:
-        raise ClassMismatch(f"event {a!r} has class {class_of(m, a)}, not {k}")
-    kern = m.kernel
-    _, core = kern.event(a.mask)
-    mass = sum(kern.prob[k - 1][i] for i in core)
-    return Fraction(kern.score(a.mask, f.assignment), mass * kern.util_scale[k - 1])
 
 
 def level_values(m: GsleuModel, f: Act) -> tuple[Fraction, ...]:
@@ -222,24 +205,6 @@ def is_null_at(m: GsleuModel, b: Event, a: Event) -> bool:
     return b.mask & kern.support[k] == 0
 
 
-def agreement(m: GsleuModel, a: Event, b: Event) -> bool:
-    """Whether the preferences indexed by a and b coincide on all acts.
-
-    For nonempty events this reduces to equal classes and equal conditional
-    measures: utilities are non-constant, so distinct conditionals always
-    rank some pair of acts differently.  Within one class the measure is
-    the level's probability renormalized on the core (the states of the
-    event inside the support), and it is positive exactly there, so equal
-    measures means equal cores.  The empty event's degenerate preference
-    agrees only with itself.
-    """
-    _check_event(m, a)
-    _check_event(m, b)
-    if a.is_empty or b.is_empty:
-        return a.is_empty and b.is_empty
-    return m.kernel.event(a.mask) == m.kernel.event(b.mask)
-
-
 def qual_prob_compare(m: GsleuModel, a: Event, b: Event, c: Event) -> Ordering:
     """Compare the conditional masses of two subevents of a."""
     if a.is_empty:
@@ -324,60 +289,3 @@ def class_partition(m: GsleuModel) -> ClassPartition:
         if k is not None:
             groups[k - 1].append(ev)
     return ClassPartition(tuple(tuple(g) for g in groups))
-
-
-@dataclass(frozen=True)
-class RiskRelation:
-    level_a: int
-    level_b: int
-    ordinally_equivalent: bool
-    affinely_related: bool
-    witness: tuple[Fraction, Fraction] | None  # (scale, shift) when affine
-
-
-@dataclass(frozen=True)
-class RiskProfile:
-    relations: tuple[RiskRelation, ...]
-
-    def between(self, j: int, k: int) -> RiskRelation:
-        lo, hi = min(j, k), max(j, k)
-        for r in self.relations:
-            if (r.level_a, r.level_b) == (lo, hi):
-                return r
-        raise KeyError((j, k))
-
-
-def risk_profile(m: GsleuModel) -> RiskProfile:
-    """Pairwise comparison of level utilities: same ranking? same up to a
-    positive affine map?"""
-    rels = []
-    nout = m.outcome_space.size
-    for j in range(1, m.depth + 1):
-        uj = m.level(j).utility
-        for k in range(j + 1, m.depth + 1):
-            uk = m.level(k).utility
-            ordinal = all(
-                sign(uj[x] - uj[y]) == sign(uk[x] - uk[y])
-                for x in range(nout)
-                for y in range(x + 1, nout)
-            )
-            witness = None
-            if ordinal:
-                x, y = next(
-                    (x, y)
-                    for x in range(nout)
-                    for y in range(nout)
-                    if uj[x] != uj[y]
-                )
-                scale = (uk[x] - uk[y]) / (uj[x] - uj[y])
-                shift = uk[x] - scale * uj[x]
-                if scale > 0 and all(uk[z] == scale * uj[z] + shift for z in range(nout)):
-                    witness = (scale, shift)
-            rels.append(RiskRelation(j, k, ordinal, witness is not None, witness))
-    return RiskProfile(tuple(rels))
-
-
-def outcome_order(m: GsleuModel) -> tuple[int, ...]:
-    """Outcome indices best-first under the shared constant-act ranking
-    (level 1 utility; declaration order breaks ties)."""
-    return m.kernel.outcome_order

@@ -13,12 +13,13 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import build_m0, random_model, vertex_oracle_2d
+from oracles import fourier_motzkin_feasible
 from lexeu.acts import enumerate_acts
 from lexeu.axioms import AXIOM_IDS, AxiomStatus, check_all, check_axiom, replay_witness
 from lexeu.conditioning import observability_check, strong_conditional_strict
 from lexeu.errors import Unrepresentable
 from lexeu.family import ModelBackedFamily, derive_table
-from lexeu.feasibility import fourier_motzkin_feasible, solve
+from lexeu.feasibility import solve
 from lexeu.lottery import induced_lottery, lottery_compare, mix, normalize_lottery
 from lexeu.model import GsleuModel, Level, class_of, conditional_measure, validate_model
 from lexeu.preference import (

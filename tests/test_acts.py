@@ -62,11 +62,12 @@ def test_enumeration_order_and_count():
     assert len(set(acts)) == 81
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     big = StateSpace(tuple(f"x{i}" for i in range(12)))
     with pytest.raises(CapExceeded):
         list(enumerate_acts(big, M0.outcome_space))  # 3^12 > 1e5
-    assert len(list(enumerate_acts(big, M0.outcome_space, cap=3**12))) == 3**12
+    monkeypatch.setenv("LEXEU_CAP", str(3**12))
+    assert len(list(enumerate_acts(big, M0.outcome_space))) == 3**12
 
 
 events4 = st.integers(min_value=0, max_value=15)

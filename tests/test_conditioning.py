@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import act_of, build_m0, coprime_affine_model, ev, random_model
+from oracles import enumerate_partitions, singleton_partition
 from lexeu import events
 from lexeu.acts import Act, OutcomeSpace, compose, constant_act, enumerate_acts
 from lexeu.caps import PARTITION_ENUM_CAP
@@ -21,7 +22,7 @@ from lexeu.conditioning import (
     strong_conditional_strict,
 )
 from lexeu.errors import CapExceeded, SpaceMismatch
-from lexeu.events import Event, StateSpace, enumerate_partitions, singleton_partition
+from lexeu.events import Event, StateSpace
 from lexeu.kernel import Kernel
 from lexeu.model import GsleuModel, Level, class_of, conditional_measure
 from lexeu.preference import (

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexeu.errors import CapExceeded, EmptyEvent, SpaceMismatch
-from lexeu.events import (
-    Event,
-    StateSpace,
-    bell_number,
-    enumerate_partitions,
-    first_partition,
-    partition_masks,
-    singleton_partition,
-)
+from lexeu.events import Event, StateSpace, bell_number, first_partition, partition_masks
+from oracles import enumerate_partitions, singleton_partition
 
 S4 = StateSpace(("s1", "s2", "s3", "s4"))
 

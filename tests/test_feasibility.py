@@ -7,15 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from lexeu.errors import CapExceeded, MalformedSystem
-from lexeu.feasibility import (
-    ConstraintSystem,
-    Rel,
-    fourier_motzkin_feasible,
-    optimize_closure,
-    solve,
-)
+from lexeu.feasibility import ConstraintSystem, Rel, optimize_closure, solve
 
 from conftest import vertex_oracle_2d
+from oracles import fourier_motzkin_feasible
 
 
 def system(variables, *rows):

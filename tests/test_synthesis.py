@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import build_m0, random_model
+from oracles import fourier_motzkin_feasible
 from test_axioms import _p0_defect, _p2_defect, flat2
 from lexeu import synthesis
 from lexeu.acts import OutcomeSpace, compose, constant_act
@@ -21,7 +22,7 @@ from lexeu.errors import (
 )
 from lexeu.events import Event, StateSpace
 from lexeu.family import TableBackedFamily, derive_table
-from lexeu.feasibility import fourier_motzkin_feasible, solve
+from lexeu.feasibility import solve
 from lexeu.model import GsleuModel, Level
 from lexeu.preference import class_partition
 from lexeu.synthesis import (
