@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .acts import Act, constant_act, splice
-from .caps import check_partition_count, check_state_count
+from .caps import DEFAULT_BUDGET, check_partition_count, check_state_count
 from .events import Event, first_partition
 from .model import sign
 from .preference import DEGENERATE, Ordering, weakly_preferred
 
-DEFAULT_BUDGET = 300_000
 MAX_WITNESSES = 5
 H_SAMPLE = 20
 PAIR_SAMPLE_FLOOR = 24

@@ -16,6 +16,7 @@ from .errors import CapExceeded
 DEFAULT_ACT_CAP = 100_000
 DEFAULT_STATE_CAP = 16  # max |S| for powerset enumeration (2^16 events)
 PARTITION_ENUM_CAP = 20_000  # max Bell(|A|) for a partition search of one event
+DEFAULT_BUDGET = 300_000  # per-axiom instance budget of the checkers and `lexeu axioms`
 
 
 def act_cap() -> int:

@@ -4,6 +4,8 @@ Every command accepts --json for machine-readable output; the human format
 prints exact rationals with decimal approximations in parentheses (never in
 JSON).  Exit codes: 0 success or property holds, 1 property violated or a
 strict check came back negative, 2 input error, 3 enumeration cap exceeded.
+The axiom and synthesis layers are imported inside the two commands that
+run them, so no other command loads them.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import io
-from .axioms import AXIOM_IDS, CORE_IDS, DEFAULT_BUDGET, AxiomStatus, check_all
+from .caps import DEFAULT_BUDGET
 from .conditioning import observability_check, savage_conditional, strong_conditional_strict
 from .errors import (
     AxiomPrecheckFailed,
@@ -37,7 +39,6 @@ from .preference import (
     lex_prefer,
     qual_prob_compare,
 )
-from .synthesis import synthesize
 
 SYMBOL = {
     Ordering.STRICTLY_PREFER: "≻",     # ≻
@@ -267,6 +268,8 @@ def cmd_lottery(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .axioms import AXIOM_IDS, CORE_IDS, AxiomStatus, check_all
+
     model = io.parse_model(args.model)
     family = ModelBackedFamily(model)
     ids = CORE_IDS if args.suite == "core" else AXIOM_IDS
@@ -309,6 +312,8 @@ def cmd_derive_table(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .synthesis import synthesize
+
     table = io.parse_table(args.table)
     result = synthesize(table)
     text = io.dump_json(io.model_to_dict(result.model))

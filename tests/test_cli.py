@@ -418,10 +418,29 @@ def test_console_script_declared():
 
 
 def test_module_invocation(files):
-    result = subprocess.run(
-        [sys.executable, "-m", "lexeu.cli", "nullity", files["model"], "s4", "s3,s4"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert result.stdout.strip() == "true"
+    core = ("P0.5", "P1.5", "P2.5", "P3.5", "P4.5", "P5.5", "SE")
+    cases = [
+        (["nullity", files["model"], "s4", "s3,s4"], ["true"]),
+        # the axiom layer is imported inside its command, a relative import
+        # that has to work in __main__ too
+        (["axioms", files["model"], "--suite", "core", "--budget", "2000"],
+         [f"{axiom}: Holds" for axiom in core]),
+    ]
+    for argv, expected in cases:
+        result = subprocess.run(
+            [sys.executable, "-m", "lexeu.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert [line.split(" (")[0] for line in result.stdout.splitlines()] == expected
+
+
+def test_axioms_budget_default(capsys):
+    from lexeu.axioms import DEFAULT_BUDGET
+
+    assert DEFAULT_BUDGET == 300_000
+    with pytest.raises(SystemExit) as info:
+        main(["axioms", "--help"])
+    assert info.value.code == 0
+    assert "(default: 300000)" in " ".join(capsys.readouterr().out.split())
