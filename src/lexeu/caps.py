@@ -5,7 +5,8 @@ event's partitions (Bell(|A|)) is central to the exhaustive checks, so all
 three are guarded, each by one check here.  The partition check guards the
 one partition search (events.first_partition) shared by strong
 conditioning and P6.5.  The act cap can be overridden with the LEXEU_CAP
-environment variable.
+environment variable.  The axiom checkers' default instance budget lives
+here too, so the CLI's --budget default does not import the checkers.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .errors import CapExceeded
 DEFAULT_ACT_CAP = 100_000
 DEFAULT_STATE_CAP = 16  # max |S| for powerset enumeration (2^16 events)
 PARTITION_ENUM_CAP = 20_000  # max Bell(|A|) for a partition search of one event
-DEFAULT_BUDGET = 300_000  # per-axiom instance budget of the checkers and `lexeu axioms`
+DEFAULT_BUDGET = 300_000  # instances per axiom checker
 
 
 def act_cap() -> int:
