@@ -322,6 +322,13 @@ def test_census_matches_per_instance_reference():
     # a repeated act and the empty event
     acts = rng.sample(m0_acts, 6)
     cases.append((M0, acts + acts[:2], list(M0.space.all_events())))
+    # one event listed twice, and the empty event, on a mixed-order model
+    m = _mixed_order_models()[1]
+    all_events = list(m.space.all_events())
+    cases.append((
+        m, rng.sample(list(enumerate_acts(m.space, m.outcome_space)), 10),
+        all_events + [all_events[6]],
+    ))
     for m, acts, events in cases:
         event_list = events or [e for e in m.space.all_events() if not e.is_empty]
         expected = _census_reference(m, acts, event_list)
