@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Mapping
 
 from .caps import check_act_count
@@ -98,16 +99,6 @@ def constant_act(outcome: str, space: StateSpace, outcome_space: OutcomeSpace) -
 
 def enumerate_acts(space: StateSpace, outcome_space: OutcomeSpace) -> Iterator[Act]:
     """All acts in lexicographic assignment order (cap-checked up front)."""
-    total = outcome_space.size ** space.size
-    check_act_count(total)
-    n, m = space.size, outcome_space.size
-    assignment = [0] * n
-    while True:
-        yield Act(space, outcome_space, tuple(assignment))
-        i = n - 1
-        while i >= 0 and assignment[i] == m - 1:
-            assignment[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        assignment[i] += 1
+    check_act_count(outcome_space.size ** space.size)
+    for assignment in product(range(outcome_space.size), repeat=space.size):
+        yield Act(space, outcome_space, assignment)

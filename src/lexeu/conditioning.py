@@ -239,20 +239,23 @@ def observability_check(
     Every ordered instance is classified: equivalent (the two agree),
     fineness failure (indexed strict, strong fails, and the per-instance
     fineness condition is violated), or anomaly (anything else; expected
-    empty).  Only the savage-strict direction of a pair can be strong, so
-    the opposite direction is settled cheaply.
+    empty).  Each listed event counts, repeats and the empty event
+    included: len(events)·N·(N − 1) instances for N acts.
 
     At an event A every verdict reads the two acts on A only: the savage
     and indexed comparisons and the fineness gap are sums over A's states,
     and the strong conditional's perturbation cells lie inside A, so the
     off-A values of fAh and gAh cancel.  So the acts are grouped by their
-    restriction to A, and every count is read off class multiplicities: a
-    class of n acts adds n·(n − 1) equivalent instances (their difference
-    vector is zero), and each pair of distinct classes I, J is classified
-    once, from the difference vector of one act of each, each instance
-    counting |I|·|J| times.  Entries are built only for non-equivalent
-    instances, in act-pair order: by the pair's earlier and later list
-    position, the savage-strict instance first.
+    restriction to A, and each pair of classes I, J with a nonzero
+    difference vector is classified once, as its savage-strict instance,
+    counting |I|·|J| times.  Every other instance is equivalent.  Its
+    difference vector is zero, or it is the opposite of a savage-strict
+    one: Kernel.difference is zero before A's class, so a nonzero
+    class-level gap is the lead, and the opposite instance is neither
+    savage- nor indexed-strict.  Entries are built only for non-equivalent
+    instances, all savage-strict, one per act pair of the class pair, in
+    act-pair order: by the pair's earlier and later list position.  So the
+    fineness-failure and anomaly counts are the numbers of entries.
     """
     act_list = list(acts) if acts is not None else list(
         enumerate_acts(m.space, m.outcome_space)
@@ -266,37 +269,14 @@ def observability_check(
         _check_act(m, x)
     for ev_ in event_list:
         _check_event(m, ev_)
-    total = equivalent = finefail = anomaly = 0
-    strong_count = strong_and_indexed = 0
-    cond_total = cond_equiv = 0
+    strong_count = strong_and_indexed = cond_total = cond_equiv = 0
     fail_entries: list[ObservabilityEntry] = []
     anomaly_entries: list[ObservabilityEntry] = []
-
     kern = m.kernel
-    pairs = len(act_list) * (len(act_list) - 1) // 2
-
-    def classify(mask: int, k: int, bound: int, x: Sequence[int], y: Sequence[int]) -> tuple:
-        """(swapped, savage, indexed, strong, fine, class) for the two
-        ordered instances of the pair, the savage-strict one first and
-        (x, y) first when neither is; swapped marks the instance (y, x)."""
-        diff = kern.difference(mask, x, y)
-        lead = next((d for d in diff if d), 0)
-        swap = lead < 0
-        if swap:
-            diff, x, y = [-d for d in diff], y, x
-        strong = lead != 0 and _strong_partitions(kern, mask, diff, x, y)[-1] is not None
-        gap = diff[k]
-        fine = bound < abs(gap)
-        win, lose = gap > 0, gap < 0
-        return (
-            (swap, lead != 0, win, strong, win and fine, _classify(win, strong, win and fine)),
-            (not swap, False, lose, False, lose and fine, _classify(lose, False, lose and fine)),
-        )
+    n_acts = len(act_list)
 
     for ev_ in event_list:
-        if ev_.is_empty:  # nothing is strict there, so every instance is equivalent
-            total += 2 * pairs
-            equivalent += 2 * pairs
+        if ev_.is_empty:
             continue
         mask, bound = ev_.mask, _fineness_bound(kern, ev_.mask)
         k, _ = kern.event(mask)
@@ -304,43 +284,44 @@ def observability_check(
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, act in enumerate(act_list):
             groups.setdefault(tuple(act.assignment[s] for s in members), []).append(i)
-        # acts with one restriction: every instance is equivalent (D = 0)
-        same = sum(len(idx) * (len(idx) - 1) for idx in groups.values())
-        total += same
-        equivalent += same
         classes = [(act_list[idx[0]].assignment, idx) for idx in groups.values()]
         found: list[tuple[int, ObservabilityEntry]] = []  # (act-pair order, entry)
         for lo, (x, lo_idx) in enumerate(classes):
             for y, hi_idx in classes[lo + 1 :]:
+                diff = kern.difference(mask, x, y)
+                lead = next((d for d in diff if d), 0)
+                if not lead:
+                    continue
+                swap = lead < 0
+                if swap:
+                    diff, better, worse = [-d for d in diff], y, x
+                else:
+                    better, worse = x, y
+                strong = _strong_partitions(kern, mask, diff, better, worse)[-1] is not None
+                indexed = diff[k] > 0
+                fine = indexed and bound < diff[k]
+                cls = _classify(indexed, strong, fine)
                 n = len(lo_idx) * len(hi_idx)
-                instances = classify(mask, k, bound, x, y)
-                for slot, (swap, savage_s, indexed_s, strong_s, fine, cls) in enumerate(instances):
-                    total += n
-                    if strong_s:
-                        strong_count += n
-                        if indexed_s:
-                            strong_and_indexed += n
-                    if fine:
-                        cond_total += n
-                        if cls is ObsClass.EQUIVALENT:
-                            cond_equiv += n
+                if strong:
+                    strong_count += n
+                    if indexed:
+                        strong_and_indexed += n
+                if fine:
+                    cond_total += n
                     if cls is ObsClass.EQUIVALENT:
-                        equivalent += n
-                        continue
-                    if cls is ObsClass.FINENESS_FAILURE:
-                        finefail += n
-                    else:
-                        anomaly += n
-                    for a in lo_idx:
-                        for b in hi_idx:
-                            first, second = (b, a) if swap else (a, b)
-                            found.append((
-                                (min(a, b) * len(act_list) + max(a, b)) * 2 + slot,
-                                ObservabilityEntry(
-                                    ev_, act_list[first], act_list[second],
-                                    savage_s, indexed_s, strong_s, fine, cls,
-                                ),
-                            ))
+                        cond_equiv += n
+                if cls is ObsClass.EQUIVALENT:
+                    continue
+                for a in lo_idx:
+                    for b in hi_idx:
+                        first, second = (b, a) if swap else (a, b)
+                        found.append((
+                            min(a, b) * n_acts + max(a, b),
+                            ObservabilityEntry(
+                                ev_, act_list[first], act_list[second],
+                                True, indexed, strong, fine, cls,
+                            ),
+                        ))
         found.sort(key=itemgetter(0))
         for _, entry in found:
             if entry.classification is ObsClass.FINENESS_FAILURE:
@@ -348,11 +329,12 @@ def observability_check(
             else:
                 anomaly_entries.append(entry)
 
+    total = len(event_list) * n_acts * (n_acts - 1)
     return ObservabilityReport(
         total,
-        equivalent,
-        finefail,
-        anomaly,
+        total - len(fail_entries) - len(anomaly_entries),
+        len(fail_entries),
+        len(anomaly_entries),
         strong_count,
         strong_and_indexed,
         cond_total,

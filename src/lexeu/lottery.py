@@ -167,21 +167,3 @@ def act_from_lottery(m: GsleuModel, a: Event, lot: Lottery, fill: Act) -> Act:
     )
     return Act(m.space, m.outcome_space, assignment)
 
-
-def calibration_weight(
-    m: GsleuModel, a: Event, target: Lottery, hi: Lottery, lo: Lottery
-) -> Fraction:
-    """The unique mixture weight making hi/lo mix indifferent to target.
-
-    Solves one linear equation at the event's class; endpoints must be
-    strictly ranked.
-    """
-    if any(l.outcome_space != m.outcome_space for l in (target, hi, lo)):
-        raise SpaceMismatch("lottery over a different outcome space")
-    k = class_of(m, a)
-    if k is None:
-        raise EmptyEvent("calibration needs a nonempty event")
-    eu_hi, eu_lo, eu_t = (_lottery_eu(m, k, l) for l in (hi, lo, target))
-    if eu_hi == eu_lo:
-        raise ValueError("calibration endpoints must be strictly ranked")
-    return (eu_t - eu_lo) / (eu_hi - eu_lo)

@@ -12,9 +12,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from lexeu.acts import Act
-from lexeu.errors import CapExceeded, EmptyEvent, LexeuError
+from lexeu.errors import CapExceeded, EmptyEvent, LexeuError, SpaceMismatch
 from lexeu.events import Event, Partition, partition_masks
 from lexeu.feasibility import ZERO, ConstraintSystem, Rel
+from lexeu.lottery import Lottery, _lottery_eu
 from lexeu.model import GsleuModel, class_of, sign
 from lexeu.preference import _check_act
 
@@ -154,6 +155,25 @@ def level_eu(m: GsleuModel, k: int, a: Event, f: Act) -> Fraction:
     _, core = kern.event(a.mask)
     mass = sum(kern.prob[k - 1][i] for i in core)
     return Fraction(kern.score(a.mask, f.assignment), mass * kern.util_scale[k - 1])
+
+
+def calibration_weight(
+    m: GsleuModel, a: Event, target: Lottery, hi: Lottery, lo: Lottery
+) -> Fraction:
+    """The unique mixture weight making hi/lo mix indifferent to target.
+
+    Solves one linear equation at the event's class; endpoints must be
+    strictly ranked.
+    """
+    if any(l.outcome_space != m.outcome_space for l in (target, hi, lo)):
+        raise SpaceMismatch("lottery over a different outcome space")
+    k = class_of(m, a)
+    if k is None:
+        raise EmptyEvent("calibration needs a nonempty event")
+    eu_hi, eu_lo, eu_t = (_lottery_eu(m, k, l) for l in (hi, lo, target))
+    if eu_hi == eu_lo:
+        raise ValueError("calibration endpoints must be strictly ranked")
+    return (eu_t - eu_lo) / (eu_hi - eu_lo)
 
 
 @dataclass(frozen=True)

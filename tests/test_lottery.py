@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import act_of, build_m0, ev, random_model
+from oracles import calibration_weight
 from lexeu.acts import OutcomeSpace, compose, constant_act, enumerate_acts
 from lexeu.errors import AtomGranularity, NotNormalized, SpaceMismatch
 from lexeu.events import Event
 from lexeu.lottery import (
     Lottery,
     act_from_lottery,
-    calibration_weight,
     induced_lottery,
     lottery_compare,
     mix,

@@ -30,6 +30,7 @@ gone = {
     "lexeu.errors": ["ClassMismatch"],
     "lexeu.events": ["enumerate_partitions", "singleton_partition"],
     "lexeu.feasibility": ["FM_MAX_VARIABLES", "fourier_motzkin_feasible"],
+    "lexeu.lottery": ["calibration_weight"],
     "lexeu.preference": [
         "RiskProfile", "RiskRelation", "agreement", "level_eu", "outcome_order", "risk_profile",
     ],
