@@ -72,11 +72,11 @@ class SuiteReport:
 
 
 class _Fam:
-    """Cached view over either family kind, through the family's rank
-    oracle: scores by act assignment and then by event mask, unconditional
-    keys by act assignment, agreement signatures by event mask.
-    Comparisons take masks and assignments, so composites never need to
-    become Acts."""
+    """View over either family kind that reads every answer off the
+    family's own rank oracle (`score` and `uncond_key` by event mask and
+    act assignment, `signature` by event mask) and keeps no copy of it;
+    only nullity verdicts are cached here.  Comparisons take masks and
+    assignments, so composites never need to become Acts."""
 
     def __init__(self, family):
         self.family = family
@@ -84,42 +84,23 @@ class _Fam:
         self.outcome_space = family.outcome_space
         check_state_count(self.space.size)
         self.full = self.space.full.mask  # also the number of nonempty events
-        self.universe = family.act_items()
         self.constants = {
             o: constant_act(o, self.space, self.outcome_space)
             for o in self.outcome_space.outcomes
         }
-        # the quantifiers range over these assignments, in universe order
-        self.xs = [act.assignment for _, act in self.universe]
+        # the quantifiers range over these assignments, in act-list order
+        self.xs = [act.assignment for _, act in family.act_items()]
         self.const_xs = [c.assignment for c in self.constants.values()]
-        # witness acts by assignment: the universe's own, else the constants
-        self._acts = dict(zip(self.const_xs, self.constants.values()))
-        self._acts.update(zip(self.xs, (act for _, act in self.universe)))
         self.skipped = 0
-        # per act, its scores by mask, filled as they are asked for: a
-        # composite that P1.5 or P4.5 meets once costs one entry, not 2^n
-        self._scores: dict[Assignment, dict[int, int | None]] = {}
-        self._keys: dict[Assignment, object] = {}
         self._null: dict[tuple[int, int], bool] = {}
 
     def witness(self, masks: Iterable[int], xs: Iterable[Assignment], note: str) -> Witness:
         """The reported form of one instance: Events for its masks, Acts
         for its assignments."""
         events = tuple(Event(self.space, m) for m in masks)
-        return Witness(events, tuple(self._acts[x] for x in xs), note)
+        return Witness(events, tuple(Act(self.space, self.outcome_space, x) for x in xs), note)
 
     # -- comparisons ---------------------------------------------------
-
-    def score(self, mask: int, x: Assignment) -> int | None:
-        """The oracle's score of x at a nonempty event; only compared with
-        scores at the same event.  None when a partial table lacks x."""
-        row = self._scores.get(x)
-        if row is None:
-            row = self._scores[x] = {}
-        got = row.get(mask, _UNSEEN)
-        if got is _UNSEEN:
-            got = row[mask] = self.family.score(mask, x)
-        return got
 
     def order(self, mask: int, x: Assignment, y: Assignment):
         """Ordering of x against y at the event; DEGENERATE for the empty
@@ -127,7 +108,7 @@ class _Fam:
         nothing: an instance that reads a None counts it."""
         if not mask:
             return DEGENERATE
-        sx, sy = self.score(mask, x), self.score(mask, y)
+        sx, sy = self.family.score(mask, x), self.family.score(mask, y)
         if sx is None or sy is None:
             return None
         return _order(sx, sy)
@@ -144,17 +125,11 @@ class _Fam:
         return [self.order(m, x, y) for m in range(self.full + 1)]
 
     def uncond(self, x: Assignment, y: Assignment):
-        kx, ky = self._key(x), self._key(y)
+        kx, ky = self.family.uncond_key(x), self.family.uncond_key(y)
         if kx is None or ky is None:
             self.skipped += 1
             return None
         return _order(kx, ky)
-
-    def _key(self, x: Assignment):
-        got = self._keys.get(x, _UNSEEN)
-        if got is _UNSEEN:
-            got = self._keys[x] = self.family.uncond_key(x)
-        return got
 
     def agreement(self, a: int, b: int) -> bool:
         return self.family.signature(a) == self.family.signature(b)
@@ -222,9 +197,6 @@ class _Fam:
                 return None
             rest &= ~live
         return tuple(chain)
-
-
-_UNSEEN = object()
 
 
 def _order(x, y) -> Ordering:
@@ -385,7 +357,7 @@ def _qp_masses(
     probable.  None when the table lacks some bet composite."""
     scores = {}
     for m in _submasks(within):
-        score = fam.score(at, splice(best, m, worst))
+        score = fam.family.score(at, splice(best, m, worst))
         if score is None:
             fam.skipped += 1
             return None

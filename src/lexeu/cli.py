@@ -22,7 +22,6 @@ from .errors import (
     AxiomPrecheckFailed,
     CapExceeded,
     LexeuError,
-    ParseError,
     Unrepresentable,
     ValidationError,
     VerificationFailed,
@@ -454,9 +453,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for violation in exc.violations:
@@ -476,10 +472,7 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except LexeuError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LexeuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,8 @@ event), `uncond_key` (the same for the unconditional ranking) and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
+from typing import Callable
 
 from .acts import Act, OutcomeSpace, enumerate_acts
 from .errors import IncompleteTable, SpaceMismatch, ValidationError
@@ -147,12 +149,16 @@ class ModelBackedFamily:
         return [(f"f{i}", act) for i, act in enumerate(enumerate_acts(self.space, self.outcome_space))]
 
     # -- the rank oracle, read off the compiled kernel ------------------
+    # The only oracle that computes its answers, so it keeps them: one memo
+    # per family, which lives as long as the family does.
 
-    def score(self, mask: int, x: tuple[int, ...]) -> int:
-        return self.model.kernel.score(mask, x)
+    @cached_property
+    def score(self) -> Callable[[int, tuple[int, ...]], int]:
+        return cache(self.model.kernel.score)
 
-    def uncond_key(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        return self.model.kernel.values(x)
+    @cached_property
+    def uncond_key(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        return cache(self.model.kernel.values)
 
     def signature(self, mask: int) -> tuple[int, tuple[int, ...]] | None:
         """Class and core; None for the empty event, whose degenerate
@@ -180,7 +186,7 @@ def derive_table(m: GsleuModel) -> TableBackedFamily:
     score at one event, and every entry of one level, carries the same
     positive factor, so the order is the exact one.
     """
-    named = [(f"f{i}", act) for i, act in enumerate(enumerate_acts(m.space, m.outcome_space))]
+    named = ModelBackedFamily(m).act_items()
     kern = m.kernel
     tiers: dict[int, Tiers] = {}
     for mask in range(1, m.space.full.mask + 1):

@@ -52,14 +52,12 @@ class Kernel:
         self.prob: list[tuple[int, ...]] = []
         self.util: list[tuple[int, ...]] = []
         self.scale: list[int] = []  # level value = integer value / scale
-        self.util_scale: list[int] = []
         for lv in levels:
             prob, p_scale = _scaled(lv.prob)
             util, u_scale = _scaled(lv.utility)
             self.prob.append(prob)
             self.util.append(util)
             self.scale.append(p_scale * u_scale)
-            self.util_scale.append(u_scale)
         self.depth = len(levels)
         self.size = len(levels[0].prob) if levels else 0
         self.level_of = [None] * self.size  # the level whose support holds each state

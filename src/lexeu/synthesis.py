@@ -342,7 +342,7 @@ def _reduced_solve(system: ConstraintSystem) -> FeasibilityResult:
 def _constant_tiers(fam: _Fam, at: Event) -> Tiers:
     """Outcome labels grouped and ordered by the constant-act ranking."""
     return _group_desc(
-        [(fam.score(at.mask, act.assignment), o) for o, act in fam.constants.items()]
+        [(fam.family.score(at.mask, act.assignment), o) for o, act in fam.constants.items()]
     )
 
 
@@ -429,11 +429,12 @@ class _ClassRows:
         outs = fam.outcome_space.outcomes
         members = supp.members
         first: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for _, act in fam.universe:
-            first.setdefault(tuple(act.assignment[i] for i in members), act.assignment)
+        for x in fam.xs:
+            first.setdefault(tuple(x[i] for i in members), x)
+        score = fam.family.score
         ordered = [
             sorted(tier)
-            for tier in _group_desc([(fam.score(supp.mask, x), key) for key, x in first.items()])
+            for tier in _group_desc([(score(supp.mask, x), key) for key, x in first.items()])
         ]
         for tier in ordered:
             for other in tier[1:]:

@@ -16,7 +16,7 @@ from lexeu.errors import CapExceeded, EmptyEvent, LexeuError, SpaceMismatch
 from lexeu.events import Event, Partition, partition_masks
 from lexeu.feasibility import ZERO, ConstraintSystem, Rel
 from lexeu.lottery import Lottery, _lottery_eu
-from lexeu.model import GsleuModel, class_of, sign
+from lexeu.model import GsleuModel, class_of, conditional_measure, sign
 from lexeu.preference import _check_act
 
 FM_MAX_VARIABLES = 8
@@ -151,10 +151,10 @@ def level_eu(m: GsleuModel, k: int, a: Event, f: Act) -> Fraction:
         raise EmptyEvent("level expected utility needs a nonempty event")
     if class_of(m, a) != k:
         raise ClassMismatch(f"event {a!r} has class {class_of(m, a)}, not {k}")
-    kern = m.kernel
-    _, core = kern.event(a.mask)
-    mass = sum(kern.prob[k - 1][i] for i in core)
-    return Fraction(kern.score(a.mask, f.assignment), mass * kern.util_scale[k - 1])
+    utility = m.levels[k - 1].utility
+    return sum(
+        (p * utility[o] for p, o in zip(conditional_measure(m, a), f.assignment)), Fraction(0)
+    )
 
 
 def calibration_weight(
