@@ -129,11 +129,8 @@ class _Fam:
         return [self.order(m, x, y) for m in range(self.full + 1)]
 
     def uncond(self, x: Assignment, y: Assignment):
-        kx, ky = self.family.uncond_key(x), self.family.uncond_key(y)
-        if kx is None or ky is None:
-            self.skipped += 1
-            return None
-        return _order(kx, ky)
+        """Unconditional ordering of x against y, both listed acts."""
+        return _order(self.family.uncond_key(x), self.family.uncond_key(y))
 
     def agreement(self, a: int, b: int) -> bool:
         return self.family.signature(a) == self.family.signature(b)
@@ -245,9 +242,9 @@ def _eval_p0(fam: _Fam, chain: tuple[int, ...], x: Assignment, y: Assignment) ->
     signs = [fam.cmp(e, x, y) for e in chain]
     if any(s is None for s in signs):
         return True
+    # every chain event reads a score, so the table lists x and y, and a
+    # table ranks every listed act unconditionally
     u = fam.uncond(x, y)
-    if u is None:
-        return True
     forward = weakly_preferred(signs, Ordering.STRICTLY_PREFER, Ordering.STRICTLY_DISPREFER)
     backward = weakly_preferred(signs, Ordering.STRICTLY_DISPREFER, Ordering.STRICTLY_PREFER)
     return (_weak(u) == forward) and (_weak(u.flip()) == backward)

@@ -76,6 +76,22 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
+def _pair_head(fname: str, gname: str, event: Event) -> dict:
+    """The keys every act-pair-at-an-event payload starts with."""
+    return {"left": fname, "right": gname, "event": list(event.labels)}
+
+
+def _output(args, text: str) -> bool:
+    """Write text to the -o file, or to stdout when none is given; True
+    when it went to the file."""
+    if not args.output:
+        sys.stdout.write(text)
+        return False
+    with open(args.output, "w") as handle:
+        handle.write(text)
+    return True
+
+
 def _verdict_line(left: str, right: str, ordering: Ordering, level=None, suffix: str = "") -> str:
     """One ordering line, naming the deciding level of a lexicographic verdict."""
     line = f"{left} {SYMBOL[ordering]} {right}{suffix}"
@@ -132,12 +148,11 @@ def cmd_condition(args) -> int:
     fname, f = io.parse_act(args.f, model.space, model.outcome_space)
     gname, g = io.parse_act(args.g, model.space, model.outcome_space)
     given = f" given {_set(event)}"
+    head = _pair_head(fname, gname, event)
     if args.strong:
         verdict = strong_conditional_strict(model, event, f, g)
         payload = {
-            "left": fname,
-            "right": gname,
-            "event": list(event.labels),
+            **head,
             "savage_strict": verdict.savage_strict,
             "strong_strict": verdict.strong_strict,
             "failing_constant": verdict.failing_constant,
@@ -159,23 +174,15 @@ def cmd_condition(args) -> int:
         return 0 if verdict.strong_strict else 1
     if args.naive:
         ordering = indexed_prefer(model, event, f, g)
-        if ordering is DEGENERATE:
-            _emit(args, {"left": fname, "right": gname, "event": [], "ordering": "degenerate"},
-                  ["degenerate (empty event)"])
+        if ordering is DEGENERATE:  # the empty event: its labels are []
+            _emit(args, {**head, "ordering": "degenerate"}, ["degenerate (empty event)"])
             return 0
-        payload = {
-            "left": fname,
-            "right": gname,
-            "event": list(event.labels),
-            "ordering": ordering.value,
-        }
-        _emit(args, payload, [_verdict_line(fname, gname, ordering, suffix=given)])
+        _emit(args, {**head, "ordering": ordering.value},
+              [_verdict_line(fname, gname, ordering, suffix=given)])
         return 0
     verdict = savage_conditional(model, event, f, g)
     payload = {
-        "left": fname,
-        "right": gname,
-        "event": list(event.labels),
+        **head,
         "ordering": verdict.ordering.value,
         "deciding_level": verdict.deciding_level,
     }
@@ -254,9 +261,7 @@ def cmd_lottery(args) -> int:
     second = induced_lottery(model, event, g)
     ordering = lottery_compare(model, event, first, second)
     payload = {
-        "left": fname,
-        "right": gname,
-        "event": list(event.labels),
+        **_pair_head(fname, gname, event),
         "left_lottery": io.lottery_to_dict(first),
         "right_lottery": io.lottery_to_dict(second),
         "ordering": ordering.value,
@@ -293,45 +298,30 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_derive_table(args) -> int:
-    model = io.parse_model(args.model)
-    table = derive_table(model)
-    text = io.dump_json(io.table_to_dict(table))
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        payload = {
-            "path": args.output,
-            "acts": len(table.acts),
-            "events": len(table.tiers),
-        }
-        _emit(args, payload, [f"wrote {args.output} ({payload['acts']} acts, {payload['events']} events)"])
-    else:
-        sys.stdout.write(text)
+    table = derive_table(io.parse_model(args.model))
+    if _output(args, io.dump_json(io.table_to_dict(table))):
+        acts, events = len(table.acts), len(table.tiers)
+        _emit(args, {"path": args.output, "acts": acts, "events": events},
+              [f"wrote {args.output} ({acts} acts, {events} events)"])
     return 0
 
 
 def cmd_synthesize(args) -> int:
     from .synthesis import synthesize
 
-    table = io.parse_table(args.table)
-    result = synthesize(table)
-    text = io.dump_json(io.model_to_dict(result.model))
-    diagnostics = {
-        "verified": result.verified,
-        "classes": result.diagnostics["classes"],
-        "stages": {str(k): v for k, v in result.diagnostics["stages"].items()},
-        "prechecks": result.diagnostics["prechecks"],
-    }
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        human = [f"verified model with {diagnostics['classes']} classes, wrote {args.output}"]
-        human.extend(
-            f"  class {k}: {v['strategy']}" for k, v in result.diagnostics["stages"].items()
-        )
-        _emit(args, {**diagnostics, "path": args.output}, human)
-    else:
-        sys.stdout.write(text)
+    result = synthesize(io.parse_table(args.table))
+    if _output(args, io.dump_json(io.model_to_dict(result.model))):
+        stages = result.diagnostics["stages"]
+        payload = {
+            "verified": result.verified,
+            "classes": result.diagnostics["classes"],
+            "stages": {str(k): v for k, v in stages.items()},
+            "prechecks": result.diagnostics["prechecks"],
+            "path": args.output,
+        }
+        human = [f"verified model with {payload['classes']} classes, wrote {args.output}"]
+        human.extend(f"  class {k}: {v['strategy']}" for k, v in stages.items())
+        _emit(args, payload, human)
     return 0
 
 

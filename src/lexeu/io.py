@@ -15,11 +15,9 @@ from pathlib import Path
 from .acts import Act, OutcomeSpace
 from .errors import ParseError, ValidationError
 from .events import Event, StateSpace
-from .family import TableBackedFamily
+from .family import TableBackedFamily, Tiers
 from .lottery import Lottery, normalize_lottery
 from .model import GsleuModel, Level, validate_model
-
-Tiers = tuple[tuple[str, ...], ...]
 
 # Digits allowed in a numerator or a denominator.  Checked before any
 # conversion, so a hostile number costs nothing; it also bounds the
@@ -209,7 +207,7 @@ def lottery_to_dict(lot: Lottery) -> dict:
 # -- preference tables -------------------------------------------------------
 
 
-def _event_key(space: StateSpace, event: Event) -> str:
+def _event_key(event: Event) -> str:
     return ",".join(event.labels)
 
 
@@ -303,8 +301,7 @@ def parse_table(path) -> TableBackedFamily:
 def table_to_dict(table: TableBackedFamily) -> dict:
     prefs: dict[str, object] = {"": "degenerate"}
     for mask in sorted(table.tiers):
-        event = Event(table.space, mask)
-        prefs[_event_key(table.space, event)] = [list(t) for t in table.tiers[mask]]
+        prefs[_event_key(Event(table.space, mask))] = [list(t) for t in table.tiers[mask]]
     return {
         "states": list(table.space.states),
         "outcomes": list(table.outcome_space.outcomes),

@@ -3,8 +3,8 @@
 The forward direction evaluates a model; this module inverts it.  From a
 table of indexed rankings it recovers the nullity hierarchy, one
 probability measure per class (from bet comparisons), and one utility per
-class (from expected-utility constraints), then re-derives the table from
-the assembled model and checks it reproduces every input ranking exactly.
+class (from expected-utility constraints), then checks on the assembled
+model's own rank oracle that it reproduces every input ranking exactly.
 
 The measure-then-utility decomposition keeps every program linear, but it
 is a heuristic: the most interior measure can be incompatible with the
@@ -42,7 +42,7 @@ from .errors import (
     VerificationFailed,
 )
 from .events import Event
-from .family import TableBackedFamily, Tiers, _group_desc, derive_table
+from .family import ModelBackedFamily, PreferenceFamily, TableBackedFamily, Tiers, _group_desc
 from .feasibility import (
     ConstraintSystem,
     FeasibilityResult,
@@ -452,11 +452,11 @@ class _ClassRows:
             fo, go = outs[fkey[j]], outs[gkey[j]]
             counts[(s, fo)] = counts.get((s, fo), 0) + 1
             counts[(s, go)] = counts.get((s, go), 0) - 1
-        items = tuple(sorted((k, c) for k, c in counts.items() if c))
-        if items and rel is Rel.EQ and items[0][1] < 0:
+        # the keys differ somewhere, and each differing position adds a +1
+        # and a -1 entry on its own state: no count is 0, items is nonempty
+        items = tuple(sorted(counts.items()))
+        if rel is Rel.EQ and items[0][1] < 0:
             items = tuple((k, -c) for k, c in items)
-        if not items and rel is Rel.EQ:
-            return
         row = (items, rel)
         if row not in seen:
             seen.add(row)
@@ -599,10 +599,9 @@ def _measure_vertices(
     yielded = 0
     for obj in objectives:
         for maximize in (True, False):
-            got = optimize_closure(msys, obj, maximize=maximize)
-            if got is None:
-                continue
-            vertex = {a: got[1][a] for a in labels}
+            # msys has a strict solution, so its closure is never empty
+            _, got = optimize_closure(msys, obj, maximize=maximize)
+            vertex = {a: got[a] for a in labels}
             on_face = any(
                 not c.satisfied_by(vertex)
                 for c in msys.constraints
@@ -749,9 +748,12 @@ def _middle_system(rows: _ClassRows, fixed: dict[str, Fraction], mid: str) -> Co
 # -- stage 4: assembly and verification --------------------------------------
 
 
-def _first_mismatch(expected: TableBackedFamily, produced: TableBackedFamily):
-    """None when the produced table ranks every act pair of the expected
-    one identically at every event; else a (event-or-None, f, g) witness."""
+def _first_mismatch(expected: TableBackedFamily, produced: PreferenceFamily):
+    """None when the produced family ranks every act pair of the expected
+    table identically at every event and unconditionally; else a
+    (event-or-None, f, g) witness.  The produced side is read only through
+    its rank oracle (`score`, `uncond_key`), and only on the acts the
+    expected table lists."""
     xs = sorted({act.assignment for act in expected.acts.values()})
     for key in [*range(1, expected.space.full.mask + 1), None]:
         if key is None:
@@ -787,7 +789,6 @@ def synthesize(
 
     levels = []
     stages = {}
-    covered = 0
     for k, (supp, top) in enumerate(zip(partition.supports, partition.top_events), start=1):
         if supp.is_empty:
             raise VerificationFailed(
@@ -800,12 +801,6 @@ def synthesize(
         prob = tuple(p.get(s, ZERO) for s in space.states)
         utility = tuple(u[o] for o in outcomes)
         levels.append(Level(supp, prob, utility))
-        covered |= supp.mask
-    if covered != space.full.mask:
-        raise VerificationFailed(
-            "class atoms do not cover the state space",
-            witness=(Event(space, space.full.mask & ~covered), None, None),
-        )
 
     model = GsleuModel(space, table.outcome_space, tuple(levels))
     report = validate_model(model)
@@ -815,7 +810,7 @@ def synthesize(
             witness=None,
         )
 
-    mismatch = _first_mismatch(table, derive_table(model))
+    mismatch = _first_mismatch(table, ModelBackedFamily(model))
     if mismatch is not None:
         event, _, _ = mismatch
         where = "unconditionally" if event is None else f"at {{{', '.join(event.labels)}}}"

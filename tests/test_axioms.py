@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_m0, random_model
-from lexeu.acts import OutcomeSpace, compose, constant_act
+from lexeu.acts import OutcomeSpace, compose, constant_act, enumerate_acts
 from lexeu.axioms import (
     AXIOM_IDS,
     CORE_IDS,
@@ -334,6 +334,25 @@ def test_defect_tables_fail_check_all():
     suite = check_all(table, budget=20_000)
     assert not suite.ok
     assert suite.report("P2.5").status is AxiomStatus.VIOLATED
+
+
+def test_no_chain_witness_when_every_ranking_is_one_tier():
+    # every act ties at every event, so every state is null and nullity
+    # derives no chain for P0.5 or SE to run along
+    space = StateSpace(("s1", "s2"))
+    ospace = OutcomeSpace(("a", "b"))
+    acts = {f"f{i}": act for i, act in enumerate(enumerate_acts(space, ospace))}
+    one_tier = (tuple(acts),)
+    table = TableBackedFamily(
+        space, ospace, acts, {m: one_tier for m in range(1, 4)}, one_tier
+    )
+    suite = check_all(table, ids=("P0.5", "SE"))
+    for report in suite.reports:
+        assert report.status is AxiomStatus.VIOLATED
+        assert report.statistics["instances"] == 0
+        (witness,) = report.witnesses
+        assert witness.note == "no nullity-derived chain exists"
+        assert replay_witness(table, report.axiom_id, witness) is False
 
 
 # -- exactness pins -----------------------------------------------------

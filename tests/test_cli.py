@@ -52,6 +52,22 @@ def test_validate_invalid_model_exit_1(files, capsys, tmp_path):
     assert "sum to 1" in out
 
 
+def test_invalid_model_exit_2_outside_validate(files, capsys, tmp_path):
+    # validate reports an invalid model itself; every other command leaves
+    # it to main, which lists the violations on stderr
+    raw = json.loads(open(files["model"]).read())
+    raw["levels"][0]["prob"]["s1"] = "1/3"  # the level sums to 5/6
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "compare", str(bad), files["f"], files["g"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {bad}: model is structurally invalid\n"
+        "  - level 1: probabilities do not sum to 1\n"
+    )
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/m.json")
     assert code == 2

@@ -231,6 +231,17 @@ def test_partial_table_of_constants_and_bets_synthesizes():
         assert {n for tier in got for n in tier} == {n for tier in tiers for n in tier}
 
 
+def test_verification_reads_only_the_listed_acts(monkeypatch):
+    # the 17 listed acts fit under the cap; the fitted model's act universe
+    # (3^4 = 81) does not, so tabulating the model would raise CapExceeded
+    table = restrict(M0_TABLE, _constants_and_bets())
+    monkeypatch.setenv("LEXEU_CAP", "40")
+    monkeypatch.setattr("lexeu.family.derive_table", lambda m: pytest.fail("tabulated the model"))
+    result = synthesize(table)
+    assert result.verified
+    assert not hasattr(synthesis, "derive_table")  # nor through a binding of its own
+
+
 def test_interior_measure_can_need_a_vertex_retry():
     space = StateSpace(("s1", "s2"))
     ospace = OutcomeSpace(("a", "b", "c"))
