@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .acts import Act, constant_act, splice
+from .acts import Act, splice
 from .caps import DEFAULT_BUDGET, check_partition_count, check_state_count
 from .events import Event, first_partition
 from .model import sign
@@ -72,11 +72,13 @@ class SuiteReport:
 
 
 class _Fam:
-    """View over either family kind that reads every answer off the
-    family's own rank oracle (`score` and `uncond_key` by event mask and
-    act assignment, `signature` by event mask) and keeps no copy of it;
-    only nullity verdicts are cached here.  Comparisons take masks and
-    assignments, so composites never need to become Acts."""
+    """The one view of either family kind that the axiom checkers and
+    synthesis read.  Every answer comes off the family's own rank oracle
+    (`score` and `uncond_key` by event mask and act assignment,
+    `signature` by event mask), of which it keeps no copy; only nullity
+    verdicts are cached here.  Acts are assignments throughout, the
+    constant acts included (`constants`, by outcome label), so composites
+    never need to become Acts."""
 
     def __init__(self, family):
         self.family = family
@@ -84,19 +86,18 @@ class _Fam:
         self.outcome_space = family.outcome_space
         check_state_count(self.space.size)
         self.full = self.space.full.mask  # also the number of nonempty events
-        self.constants = {
-            o: constant_act(o, self.space, self.outcome_space)
-            for o in self.outcome_space.outcomes
-        }
-        # the quantifiers range over these assignments, in act-list order
-        self.xs = [act.assignment for _, act in family.act_items()]
-        self.const_xs = [c.assignment for c in self.constants.values()]
+        n = self.space.size
+        self.constants = {o: (i,) * n for i, o in enumerate(self.outcome_space.outcomes)}
+        # the quantifiers range over these assignments in assignment order,
+        # so no report depends on the order a table lists its acts
+        self.xs = sorted(act.assignment for _, act in family.act_items())
+        self.const_xs = list(self.constants.values())
         self.skipped = 0
         self._null: dict[tuple[int, int], bool] = {}
         # bound once: order() is the checkers' innermost call, and looking
         # the oracle up through the family on each call cost a model-side
         # check_all about 3%
-        self._score = family.score
+        self.score = family.score
 
     def witness(self, masks: Iterable[int], xs: Iterable[Assignment], note: str) -> Witness:
         """The reported form of one instance: Events for its masks, Acts
@@ -112,7 +113,7 @@ class _Fam:
         nothing: an instance that reads a None counts it."""
         if not mask:
             return DEGENERATE
-        sx, sy = self._score(mask, x), self._score(mask, y)
+        sx, sy = self.score(mask, x), self.score(mask, y)
         if sx is None or sy is None:
             return None
         return _order(sx, sy)
@@ -358,7 +359,7 @@ def _qp_masses(
     probable.  None when the table lacks some bet composite."""
     scores = {}
     for m in _submasks(within):
-        score = fam.family.score(at, splice(best, m, worst))
+        score = fam.score(at, splice(best, m, worst))
         if score is None:
             fam.skipped += 1
             return None
@@ -549,11 +550,10 @@ def _check_se(fam: _Fam, budget: int) -> AxiomReport:
 
 
 def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
-    best, worst = _prize_pair(fam)
-    if best is None:
+    prizes = _prize_pair(fam)
+    if prizes is None:
         w = ((fam.full,), fam.const_xs, "no strict constant pair")
         return _report(fam, "QP", [w], {"instances": 0})
-    prizes = (best.assignment, worst.assignment)
     failures = []
     count = 0
     for a in range(1, fam.full + 1):
@@ -580,13 +580,13 @@ def _check_qp(fam: _Fam, budget: int) -> AxiomReport:
     return _report(fam, "QP", failures, stats)
 
 
-def _prize_pair(fam: _Fam) -> tuple[Act | None, Act | None]:
-    """The first best and the first worst constant act at S, or a pair of
-    Nones when no constant is strictly above another."""
-    consts = list(fam.constants.values())
+def _prize_pair(fam: _Fam) -> tuple[Assignment, Assignment] | None:
+    """The first best and the first worst constant act at S, or None when
+    no constant is strictly above another."""
+    consts = fam.const_xs
 
-    def above(x: Act, y: Act) -> bool:
-        return _strict(fam.cmp(fam.full, x.assignment, y.assignment))
+    def above(x: Assignment, y: Assignment) -> bool:
+        return _strict(fam.cmp(fam.full, x, y))
 
     best = worst = consts[0]
     for c in consts[1:]:
@@ -596,7 +596,7 @@ def _prize_pair(fam: _Fam) -> tuple[Act | None, Act | None]:
             worst = c
     if above(best, worst):
         return best, worst
-    return None, None
+    return None
 
 
 def _check_nullity(fam: _Fam, budget: int) -> AxiomReport:
@@ -698,10 +698,10 @@ def replay_witness(family, axiom_id: str, witness: Witness) -> bool:
             return _eval_se_second(fam, *ev)
         return _eval_se_first(fam, chain, ev[0])
     if axiom_id == "QP":
-        best, worst = _prize_pair(fam)
-        if best is None:
+        prizes = _prize_pair(fam)
+        if prizes is None:
             return False
-        scores = _qp_masses(fam, ev[0], ev[0], best.assignment, worst.assignment)
+        scores = _qp_masses(fam, ev[0], ev[0], *prizes)
         if scores is None:
             return True
         if len(ev) == 1:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Sequence
 
-from .acts import Act, compose
+from .acts import Act, splice
 from .axioms import (
     CORE_IDS,
     AxiomReport,
@@ -163,14 +163,6 @@ def measure_from_order(
     return {a: result.assignment[a] for a in atoms}, system
 
 
-def _prize_constants(fam: _Fam) -> tuple[Act, Act]:
-    best, worst = _prize_pair(fam)
-    if best is None:
-        report = _suite(fam, PRECHECK_BUDGET, ("P5.5",)).reports[0]
-        raise AxiomPrecheckFailed("no strictly ranked constant acts", reports=(report,))
-    return best, worst
-
-
 def _bet_order(
     fam: _Fam, supp: Event, at: Event
 ) -> list[tuple[tuple[str, ...], str, tuple[str, ...]]]:
@@ -181,12 +173,14 @@ def _bet_order(
     emitted; transitivity recovers every other pair, so the realizing
     measures are the same with far fewer rows.
     """
-    best, worst = _prize_constants(fam)
+    # synthesize fits only once the gate finds P5.5 holding and the table
+    # lists every constant, so the pair exists
+    best, worst = _prize_pair(fam)
     space = fam.space
-    scores = _qp_masses(fam, at.mask, supp.mask, best.assignment, worst.assignment)
+    scores = _qp_masses(fam, at.mask, supp.mask, best, worst)
     if scores is None:  # name the first bet the table lacks
         for m in _submasks(supp.mask):
-            fam.family.name_of(compose(best, Event(space, m), worst))
+            fam.family.name_of(Act(space, fam.outcome_space, splice(best, m, worst)))
     ordered = _group_desc([(s, m) for m, s in scores.items()])
     out = []
     for group in ordered:
@@ -341,9 +335,7 @@ def _reduced_solve(system: ConstraintSystem) -> FeasibilityResult:
 
 def _constant_tiers(fam: _Fam, at: Event) -> Tiers:
     """Outcome labels grouped and ordered by the constant-act ranking."""
-    return _group_desc(
-        [(fam.family.score(at.mask, act.assignment), o) for o, act in fam.constants.items()]
-    )
+    return _group_desc([(fam.score(at.mask, x), o) for o, x in fam.constants.items()])
 
 
 def _pinned(tiers: Tiers) -> dict[str, Fraction]:
@@ -431,10 +423,9 @@ class _ClassRows:
         first: dict[tuple[int, ...], tuple[int, ...]] = {}
         for x in fam.xs:
             first.setdefault(tuple(x[i] for i in members), x)
-        score = fam.family.score
         ordered = [
             sorted(tier)
-            for tier in _group_desc([(score(supp.mask, x), key) for key, x in first.items()])
+            for tier in _group_desc([(fam.score(supp.mask, x), key) for key, x in first.items()])
         ]
         for tier in ordered:
             for other in tier[1:]:
@@ -782,9 +773,9 @@ def synthesize(
     fam = _Fam(table)
     reports = _gate(fam, PRECHECK_IDS, precheck_budget)
     partition = _hierarchy(fam)
-    for act in fam.constants.values():  # every fit reads them all
-        table.name_of(act)
     space = table.space
+    for x in fam.const_xs:  # every fit reads them all
+        table.name_of(Act(space, table.outcome_space, x))
     outcomes = table.outcome_space.outcomes
 
     levels = []

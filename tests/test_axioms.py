@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_m0, random_model
-from lexeu.acts import OutcomeSpace, compose, constant_act, enumerate_acts
+from lexeu.acts import Act, OutcomeSpace, compose, constant_act, enumerate_acts
 from lexeu.axioms import (
     AXIOM_IDS,
     CORE_IDS,
@@ -19,6 +19,7 @@ from lexeu.axioms import (
     AxiomStatus,
     _Fam,
     _order,
+    _prize_pair,
     check_all,
     check_axiom,
     replay_witness,
@@ -28,7 +29,6 @@ from lexeu.events import Event, StateSpace
 from lexeu.family import ModelBackedFamily, TableBackedFamily, derive_table
 from lexeu.model import GsleuModel, Level
 from lexeu.preference import DEGENERATE
-from lexeu.synthesis import _prize_constants
 
 
 def flat2() -> GsleuModel:
@@ -369,7 +369,7 @@ def _partial(model: GsleuModel, seed: int, share: float, swap: bool = False):
     seeded event."""
     rng = random.Random(seed)
     table = derive_table(model)
-    best, worst = _prize_constants(_Fam(table))
+    best, worst = (Act(table.space, table.outcome_space, x) for x in _prize_pair(_Fam(table)))
     keep = set()
     for o in table.outcome_space.outcomes:
         keep.add(table.name_of(constant_act(o, table.space, table.outcome_space)))

@@ -1,5 +1,6 @@
 """Exit codes and output formats of every subcommand."""
 import json
+import random
 import resource
 import shutil
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_m0
-from lexeu import cli, io
+from conftest import build_m0, random_model
+from test_synthesis import _swapped
+from lexeu import cli, io, synthesis
 from lexeu.acts import Act
 from lexeu.cli import main
 from lexeu.family import derive_table
@@ -50,6 +52,18 @@ def test_validate_invalid_model_exit_1(files, capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert "sum to 1" in out
+
+
+def test_validate_invalid_model_json(files, capsys, tmp_path):
+    raw = json.loads(open(files["model"]).read())
+    raw["levels"][0]["prob"]["s1"] = "1/3"
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "validate", str(bad), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "valid": False, "violations": ["level 1: probabilities do not sum to 1"]
+    }
 
 
 def test_invalid_model_exit_2_outside_validate(files, capsys, tmp_path):
@@ -275,6 +289,22 @@ def test_condition_strong_reports_failing_constant(files, capsys):
     assert payload["failing_constant"] == "c"
 
 
+def test_condition_strong_lists_witness_partitions(files, capsys, tmp_path):
+    m = build_m0()
+    f = Act.from_mapping(m.space, m.outcome_space, {"s1": "b", "s2": "c", "s3": "b", "s4": "b"})
+    g = Act.from_mapping(m.space, m.outcome_space, dict.fromkeys(m.space.states, "a"))
+    paths = []
+    for name, act in (("f", f), ("g", g)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(io.dump_json(io.act_to_dict(name, act)))
+        paths.append(str(path))
+    code, out, _ = run(capsys, "condition", files["model"], "s1,s2", *paths, "--strong", "--json")
+    assert code == 0
+    assert json.loads(out)["witness_partitions"] == {
+        "c": [["s1"], ["s2"]], "b": [["s1"], ["s2"]], "a": [["s1"], ["s2"]]
+    }
+
+
 def test_classes(files, capsys):
     code, out, _ = run(capsys, "classes", files["model"], "--json")
     assert code == 0
@@ -400,6 +430,27 @@ def test_synthesize_stdout_is_a_behavioral_twin(files, capsys):
     assert code == 0
     model = io.model_from_dict(json.loads(out))
     assert derive_table(model) == derive_table(build_m0())
+
+
+@pytest.mark.parametrize("seed, n_min, n_max, outcomes, swap, message", [
+    # test_synthesis.FIT_PATHS' seed-7 table: the joint search's relaxation
+    (7, 2, 3, 3, (7, 2), "unrepresentable: no measure/utility pair fits the table"),
+    # test_synthesis.test_mismatch_message_lists_labels_in_state_order's table
+    (16, 3, 4, 2, (11, 0),
+     "verification failed: synthesized model ranks an act pair differently at {s1, s2, s4}"),
+])
+def test_synthesize_fit_failures_exit_1(capsys, tmp_path, monkeypatch,
+                                        seed, n_min, n_max, outcomes, swap, message):
+    # the gate rejects both swapped tables first; without it the fit or the
+    # round trip fails
+    monkeypatch.setattr(synthesis, "_gate", lambda *a: {})
+    model = random_model(random.Random(seed), n_min=n_min, n_max=n_max, n_outcomes=outcomes)
+    path = tmp_path / "table.json"
+    path.write_text(io.dump_json(io.table_to_dict(_swapped(derive_table(model), *swap))))
+    code, out, err = run(capsys, "synthesize", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
 
 
 def test_observability(files, capsys):

@@ -12,13 +12,17 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from conftest import random_model
+from conftest import build_m0, random_model
+from test_axioms import DEFECTS
+from lexeu import io
 from lexeu.acts import Act, OutcomeSpace, enumerate_acts
 from lexeu.axioms import AxiomStatus, check_all, replay_witness
 from lexeu.conditioning import observability_check
+from lexeu.errors import LexeuError
 from lexeu.events import Event, StateSpace
 from lexeu.family import TableBackedFamily, derive_table
 from lexeu.model import GsleuModel, Level
+from lexeu.synthesis import synthesize
 
 COUNTS = (
     "total_instances", "equivalent_count", "fineness_failure_count", "anomaly_count",
@@ -150,3 +154,35 @@ def test_verdicts_are_invariant_under_relabeling_and_witnesses_replay():
                 for w in r.witnesses:
                     assert replay_witness(family, r.axiom_id, w) is False, (n, r.axiom_id, w)
     assert compared and violated  # neither comparison is vacuous
+
+
+def relisted(table: TableBackedFamily, rng: random.Random) -> TableBackedFamily:
+    """The same table with only its act list shuffled: the same names, the
+    same spaces, the same rankings."""
+    names = list(table.acts)
+    rng.shuffle(names)
+    acts = {n: table.acts[n] for n in names}
+    return TableBackedFamily(table.space, table.outcome_space, acts, table.tiers, table.unconditional)
+
+
+def synthesized(table: TableBackedFamily) -> str:
+    """synthesize's model bytes and diagnostics, or its error's type,
+    message, gate reports and round-trip witness."""
+    try:
+        result = synthesize(table)
+    except LexeuError as exc:
+        return repr([type(exc).__name__, str(exc), getattr(exc, "reports", None),
+                     getattr(exc, "witness", None)])
+    return io.dump_json(io.model_to_dict(result.model)) + repr(result.diagnostics)
+
+
+def test_reports_do_not_depend_on_the_act_list_order():
+    # M0's table and the planted-defect tables, whose sampled quantifiers
+    # and synthesis fits would draw by list position if the view kept it
+    rng = random.Random(2224)
+    tables = {"M0": derive_table(build_m0()), **{k: build() for k, build in DEFECTS.items()}}
+    for name, table in tables.items():
+        other = relisted(table, rng)
+        assert list(other.acts) != list(table.acts), name
+        assert repr(check_all(other, budget=20_000)) == repr(check_all(table, budget=20_000)), name
+        assert synthesized(other) == synthesized(table), name

@@ -11,8 +11,8 @@ from conftest import build_m0, random_model
 from oracles import fourier_motzkin_feasible
 from test_axioms import _p0_defect, _p2_defect, flat2
 from lexeu import synthesis
-from lexeu.acts import OutcomeSpace, compose, constant_act
-from lexeu.axioms import _Fam
+from lexeu.acts import Act, OutcomeSpace, compose, constant_act
+from lexeu.axioms import AxiomStatus, Witness, _Fam, _prize_pair, check_axiom, replay_witness
 from lexeu.errors import (
     AxiomPrecheckFailed,
     CapExceeded,
@@ -29,7 +29,6 @@ from lexeu.synthesis import (
     _first_mismatch,
     _fit_class,
     _hierarchy,
-    _prize_constants,
     infer_hierarchy,
     measure_from_order,
     synthesize,
@@ -197,7 +196,7 @@ def test_precheck_gate_blocks_bad_tables():
 
 def _constants_and_bets(skip: int | None = None) -> dict:
     """M0's constant acts and its bets on every event but `skip`, by name."""
-    best, worst = _prize_constants(_Fam(M0_TABLE))
+    best, worst = (Act(M0_TABLE.space, M0_TABLE.outcome_space, x) for x in _prize_pair(_Fam(M0_TABLE)))
     keep = {}
     for o in M0_TABLE.outcome_space.outcomes:
         c = constant_act(o, M0_TABLE.space, M0_TABLE.outcome_space)
@@ -213,6 +212,19 @@ def test_missing_bet_act_is_reported():
     keep = _constants_and_bets(skip=1)  # no bet on {s1} alone
     with pytest.raises(IncompleteTable):
         synthesize(restrict(M0_TABLE, keep))
+
+
+def test_qp_skips_the_events_whose_bets_are_missing():
+    # without the bet on {s1} alone, no event holding s1 has all its bets;
+    # the seven events off s1 hold 3 * 8 + 3 * 30 + 134 instances
+    table = restrict(M0_TABLE, _constants_and_bets(skip=1))
+    report = check_axiom(table, "QP")
+    assert report.status is AxiomStatus.HOLDS
+    assert report.statistics["instances"] == 248
+    assert report.statistics["skipped_missing_composites"] == 8
+    prizes = tuple(Act(table.space, table.outcome_space, x) for x in _prize_pair(_Fam(table)))
+    at_s1_s2 = Witness((Event(table.space, 3),), prizes, "the sure bet does not beat the empty bet")
+    assert replay_witness(table, "QP", at_s1_s2) is True
 
 
 def test_partial_table_of_constants_and_bets_synthesizes():
@@ -396,6 +408,11 @@ FIT_PATHS = [
     (0, 3, (6, 1), [
         ("CapExceeded", "utility parameter scan exhausted without a fit", None),
         NO_ADDITIVE_MEASURE,
+    ]),
+    # the scan's first candidate fits on the rows of at most two states alone
+    (142, 3, None, [
+        ({"s1": "4338791/7171374", "s2": "1819493/7171374", "s3": "506545/3585687"},
+         {"b": "1", "a": "0", "c": "13/44"}, "parametric(t=13/44)"),
     ]),
 ]
 
