@@ -217,9 +217,10 @@ def _without(table: TableBackedFamily, name: str) -> TableBackedFamily:
 def _synthesis_cases() -> dict:
     """synthesize on M0's table and on seeded full, swapped and partial
     tables of 2-4 states and 2-4 outcomes, on two partial tables without a
-    constant act and on a 4-outcome table past the joint search's limit;
-    infer_hierarchy on the full tables; and the whole suite on each
-    planted-defect table."""
+    constant act, on a 4-outcome table past the joint search's limit and
+    on four seeded full 3x3 and 4x3 tables; infer_hierarchy on the full
+    tables of 2-4 states; and the whole suite on each planted-defect
+    table."""
     m0 = build_m0()
     full = {"M0": derive_table(m0)}
     raw = {"synthesis/M0/full": _synthesized(full["M0"])}
@@ -240,6 +241,12 @@ def _synthesis_cases() -> dict:
         raw[f"synthesis/3x3/{name}"] = _synthesized(_without(partial, partial.name_of(constant)))
     cap = random_model(random.Random("golden-cap-7"), 2, 2, n_outcomes=4)
     raw["synthesis/2x4/joint-limit"] = _synthesized(derive_table(cap))
+    # full tables of the benchmark's synth shapes, which make the most
+    # solver calls: vertex retries at 3x3/0, 3x3/5 and 4x3/3, and the joint
+    # parametric scan at 4x3/9
+    for n, k in ((3, 0), (3, 5), (4, 3), (4, 9)):
+        model = random_model(random.Random(f"golden-synth-{n}-3-{k}"), n, n, n_outcomes=3)
+        raw[f"synthesis/{n}x3/full-{k}"] = _synthesized(derive_table(model))
     for name, table in full.items():
         raw[f"hierarchy/{name}"] = repr(infer_hierarchy(table)).encode()
     for axiom_id, build in DEFECTS.items():
