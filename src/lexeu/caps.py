@@ -1,4 +1,4 @@
-"""Enumeration caps.
+"""Enumeration and solver caps.
 
 Full enumeration of acts (m^n), of the event powerset (2^n) and of one
 event's partitions (Bell(|A|)) is central to the exhaustive checks, so all
@@ -7,6 +7,11 @@ one partition search (events.first_partition) shared by strong
 conditioning and P6.5.  The act cap can be overridden with the LEXEU_CAP
 environment variable.  The axiom checkers' default instance budget lives
 here too, so the CLI's --budget default does not import the checkers.
+
+The exact simplex (feasibility) refuses a system with more than
+MAX_VARIABLES variables or MAX_CONSTRAINTS constraints, and one whose
+integer tableau could hold numbers wider than LP_BIT_CAP bits: Hadamard's
+bound on the scaled rows caps every entry before the first pivot.
 """
 from __future__ import annotations
 
@@ -18,6 +23,9 @@ DEFAULT_ACT_CAP = 100_000
 DEFAULT_STATE_CAP = 16  # max |S| for powerset enumeration (2^16 events)
 PARTITION_ENUM_CAP = 20_000  # max Bell(|A|) for a partition search of one event
 DEFAULT_BUDGET = 300_000  # instances per axiom checker
+MAX_VARIABLES = 32  # per linear system
+MAX_CONSTRAINTS = 5000  # per linear system
+LP_BIT_CAP = 4096  # max Hadamard bound, in bits, on the simplex's integers
 
 
 def act_cap() -> int:

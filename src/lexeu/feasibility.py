@@ -2,8 +2,15 @@
 
 Strict constraints are handled by a shared margin variable: c·x > r
 becomes c·x >= r + eps, and eps (capped at 1 to keep open cones bounded)
-is maximized by a two-phase simplex over Fractions with Bland's rule.
+is maximized by a two-phase simplex with Bland's rule.
 The system is feasible exactly when the optimal margin is positive.
+
+The tableau holds integers over one positive common denominator, the
+current basis determinant, and each pivot divides exactly; Fractions are
+built only for the point, margin and value returned.  Every entry is a
+minor of the integer-scaled rows, so Hadamard's bound caps its bit size,
+and a system whose bound passes caps.LP_BIT_CAP is refused before the
+first pivot.
 
 No floating point anywhere: strict-versus-weak is what separates a null
 event from a live one, so tolerances would change the semantics.
@@ -11,17 +18,16 @@ event from a live one, so tolerances would change the semantics.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .caps import LP_BIT_CAP, MAX_CONSTRAINTS, MAX_VARIABLES
 from .errors import CapExceeded, MalformedSystem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-MAX_VARIABLES = 32
-MAX_CONSTRAINTS = 5000
 
 
 class Rel(enum.Enum):
@@ -99,58 +105,81 @@ class FeasibilityResult:
     slack: Fraction | None
 
 
-# -- dense two-phase simplex ---------------------------------------------
+# -- integer two-phase simplex -------------------------------------------
 #
 # maximize c.x subject to A.x = b, x >= 0.  Bland's rule for both the
 # entering and the leaving choice, so cycling is impossible and the output
 # is a deterministic function of the input.
+#
+# Each tableau row is a list of integers over one positive common
+# denominator d, the absolute value of the current basis determinant: the
+# entry read is row[j] / d.  A pivot on p = rows[r][c] keeps row r as it
+# is, makes p the new denominator and sets every other row to
+# (p*row - row[c]*rows[r]) // d, which divides exactly (Edmonds 1967;
+# Bareiss 1968).  Signs and ratios are those of the Fraction tableau, so
+# Bland's rule takes the same pivots.
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = rows[r][c]
-    rows[r] = [x / piv for x in rows[r]]
+def _pivot(rows: list[list[int]], basis: list[int], d: int, r: int, c: int) -> int:
+    """Pivot on rows[r][c] over denominator d; returns the new denominator.
+
+    Rows past len(basis) (an objective row) are updated too.  A negative
+    pivot negates its row first, so the denominator stays positive.
+    """
+    if rows[r][c] < 0:
+        rows[r] = [-x for x in rows[r]]
+    prow = rows[r]
+    p = prow[c]
     for i, row in enumerate(rows):
-        if i != r and row[c]:
-            factor = row[c]
-            rows[i] = [x - factor * y for x, y in zip(row, rows[r])]
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * x // d for x in row]
     basis[r] = c
+    return p
 
 
 def _simplex_max(
-    rows: list[list[Fraction]], basis: list[int], objective: list[Fraction]
-) -> Fraction:
+    rows: list[list[int]], basis: list[int], d: int, objective: list[int]
+) -> tuple[int, int]:
     """Maximize over an already-feasible tableau, in place.
 
-    rows[i] = coefficients + [rhs]; basis[i] = basic column of row i.
-    Raises on unboundedness (callers bound every direction they optimize).
+    rows[i] = coefficients + [rhs] over denominator d; basis[i] = basic
+    column of row i.  Returns (v, d) with the optimum v / d and the final
+    denominator.  Raises on unboundedness (callers bound every direction
+    they optimize).
     """
-    ncols = len(rows[0]) - 1
-    reduced = list(objective)
-    value = ZERO
+    m = len(basis)
+    ncols = len(objective)
+    # reduced costs times d, and minus the objective's value times d last
+    obj = [d * x for x in objective] + [0]
     for i, b in enumerate(basis):
-        if reduced[b]:
-            coef = reduced[b]
-            row = rows[i]
-            reduced = [x - coef * row[j] for j, x in enumerate(reduced)]
-            value += coef * row[-1]
+        coef = objective[b]
+        if coef:
+            obj = [x - coef * y for x, y in zip(obj, rows[i])]
+    rows.append(obj)
     while True:
-        enter = next((j for j in range(ncols) if reduced[j] > 0), None)
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
-            return value
+            rows.pop()
+            return -obj[-1], d
         leave = None
-        best = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                b = rows[i][-1]
+                # b / a against the best ratio, by cross-multiplying
+                if leave is None or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[i] < basis[leave]
+                ):
+                    leave, best_a, best_b = i, a, b
         if leave is None:
             raise MalformedSystem("objective unbounded above")
-        _pivot(rows, basis, leave, enter)
-        coef = reduced[enter]
-        row = rows[leave]
-        reduced = [x - coef * row[j] for j, x in enumerate(reduced)]
-        value += coef * row[-1]
+        d = _pivot(rows, basis, d, leave, enter)
+        obj = rows[-1]
 
 
 def _standard_form(sys: ConstraintSystem) -> tuple[list[list[Fraction]], list[str], int | None]:
@@ -199,49 +228,87 @@ def _standard_form(sys: ConstraintSystem) -> tuple[list[list[Fraction]], list[st
     return rows, columns, eps_col
 
 
-def _phase_one(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]] | None:
-    """Find a basic feasible solution; None when the system is empty."""
+def _scaled(row: list[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    lam = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (lam // x.denominator) for x in row], lam
+
+
+def _norm_bits(row: Iterable[int]) -> int:
+    """An upper bound on twice log2 of the row's Euclidean norm."""
+    return sum(x * x for x in row).bit_length()
+
+
+def _two_phase(
+    rows: list[list[Fraction]], objective: list[Fraction]
+) -> tuple[Fraction, list[list[int]], list[int], int] | None:
+    """Maximize objective over {x >= 0 : rows}: (value, rows, basis, d) at
+    the optimal basis, or None when the system is empty.
+
+    Row i is scaled to integers by lam_i, so its artificial measures lam_i
+    times the Fraction one; phase one weights it by L / lam_i (L the lcm
+    of the scales) to minimize the same sum, and so take the same pivots.
+    """
     ncols = len(rows[0]) - 1
-    work = []
-    for row in rows:
-        work.append([-x for x in row] if row[-1] < 0 else list(row))
-    m = len(work)
-    basis = []
-    for i, row in enumerate(work):
-        art = [ZERO] * m
-        art[i] = ONE
-        work[i] = row[:-1] + art + [row[-1]]
-        basis.append(ncols + i)
-    objective = [ZERO] * ncols + [Fraction(-1)] * m
-    if _simplex_max(work, basis, objective) != 0:
+    m = len(rows)
+    work, scales = [], []
+    for i, row in enumerate(rows):
+        ints, lam = _scaled(row)
+        if ints[-1] < 0:
+            ints = [-x for x in ints]
+        art = [0] * m
+        art[i] = 1
+        work.append(ints[:-1] + art + [ints[-1]])
+        scales.append(lam)
+    total = math.lcm(*scales)
+    phase_one = [0] * ncols + [-(total // lam) for lam in scales]
+    target, mu = _scaled(objective)
+    # Hadamard's bound on every minor, in bits; the objective rows carry
+    # their own basic column, a 1
+    needed = (
+        sum(_norm_bits(row) for row in work)
+        + max(_norm_bits([1, *phase_one]), _norm_bits([1, *target]))
+        + 1
+    ) // 2
+    if needed > LP_BIT_CAP:
+        raise CapExceeded(
+            f"exact simplex may need {needed}-bit numbers, cap is {LP_BIT_CAP}",
+            needed=needed,
+            cap=LP_BIT_CAP,
+        )
+    basis = [ncols + i for i in range(m)]
+    value, d = _simplex_max(work, basis, 1, phase_one)
+    if value != 0:
         return None
     # drive lingering artificials out; a row that is zero over the
     # structural columns is redundant and gets dropped
     keep = []
-    for i in range(len(work)):
+    for i in range(m):
         if basis[i] < ncols:
             keep.append(i)
             continue
-        enter = next((j for j in range(ncols) if work[i][j] != 0), None)
+        enter = next((j for j in range(ncols) if work[i][j]), None)
         if enter is None:
             continue
-        _pivot(work, basis, i, enter)
+        d = _pivot(work, basis, d, i, enter)
         keep.append(i)
-    rows2 = [work[i][:ncols] + [work[i][-1]] for i in keep]
-    basis2 = [basis[i] for i in keep]
-    return rows2, basis2
+    work = [work[i][:ncols] + [work[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    value, d = _simplex_max(work, basis, d, target)
+    return Fraction(value, d * mu), work, basis, d
 
 
 def _extract(
     columns: list[str],
-    rows: list[list[Fraction]],
+    rows: list[list[int]],
     basis: list[int],
+    d: int,
     variables: Iterable[str],
 ) -> dict[str, Fraction]:
-    values = [ZERO] * len(columns)
+    values = [0] * len(columns)
     for i, b in enumerate(basis):
         values[b] = rows[i][-1]
-    return {v: values[2 * i] - values[2 * i + 1] for i, v in enumerate(variables)}
+    return {v: Fraction(values[2 * i] - values[2 * i + 1], d) for i, v in enumerate(variables)}
 
 
 def solve(sys: ConstraintSystem) -> FeasibilityResult:
@@ -251,20 +318,19 @@ def solve(sys: ConstraintSystem) -> FeasibilityResult:
         return FeasibilityResult(True, {v: ZERO for v in sys.variables}, None)
     strict = [c for c in sys.constraints if c.rel is Rel.GT]
     rows, columns, eps_col = _standard_form(sys)
-    started = _phase_one(rows)
-    if started is None:
-        return FeasibilityResult(False, None, None)
-    rows, basis = started
-    if not strict:
-        assignment = _extract(columns, rows, basis, sys.variables)
-        _assert_satisfies(sys, assignment)
-        return FeasibilityResult(True, assignment, None)
     objective = [ZERO] * len(columns)
-    objective[eps_col] = ONE
-    if _simplex_max(rows, basis, objective) <= 0:
+    if strict:
+        objective[eps_col] = ONE
+    found = _two_phase(rows, objective)
+    if found is None:
         return FeasibilityResult(False, None, None)
-    assignment = _extract(columns, rows, basis, sys.variables)
+    value, rows, basis, d = found
+    if strict and value <= 0:
+        return FeasibilityResult(False, None, None)
+    assignment = _extract(columns, rows, basis, d, sys.variables)
     _assert_satisfies(sys, assignment)
+    if not strict:
+        return FeasibilityResult(True, assignment, None)
     margin = min(c.evaluate(assignment) - c.rhs for c in strict)
     return FeasibilityResult(True, assignment, margin)
 
@@ -291,19 +357,16 @@ def optimize_closure(
     if not closed.constraints:
         raise MalformedSystem("nothing bounds the objective")
     rows, columns, _ = _standard_form(closed)
-    started = _phase_one(rows)
-    if started is None:
-        return None
-    rows, basis = started
     sign = ONE if maximize else Fraction(-1)
     obj = [ZERO] * len(columns)
     for i, v in enumerate(closed.variables):
         coef = Fraction(objective.get(v, 0))
         obj[2 * i] = sign * coef
         obj[2 * i + 1] = -sign * coef
-    value = _simplex_max(rows, basis, obj)
-    assignment = _extract(columns, rows, basis, closed.variables)
-    for c in closed.constraints:
-        if not c.satisfied_by(assignment):
-            raise AssertionError("optimizer left the feasible region")
+    found = _two_phase(rows, obj)
+    if found is None:
+        return None
+    value, rows, basis, d = found
+    assignment = _extract(columns, rows, basis, d, closed.variables)
+    _assert_satisfies(closed, assignment)
     return sign * value, assignment

@@ -2,19 +2,27 @@
 
 Nothing in the library calls these: each is a second, deliberately plain
 computation of something the library computes another way (the simplex,
-the partition search over block masks, the integer kernel), or of a
-quantity no command reports.
+twice: by elimination and on Fractions; the partition search over block
+masks; the integer kernel), or of a quantity no command reports.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from lexeu.acts import Act
-from lexeu.errors import CapExceeded, EmptyEvent, LexeuError, SpaceMismatch
+from lexeu.errors import CapExceeded, EmptyEvent, LexeuError, MalformedSystem, SpaceMismatch
 from lexeu.events import Event, Partition, partition_masks
-from lexeu.feasibility import ZERO, ConstraintSystem, Rel
+from lexeu.feasibility import (
+    ONE,
+    ZERO,
+    ConstraintSystem,
+    FeasibilityResult,
+    Rel,
+    _assert_satisfies,
+    _standard_form,
+)
 from lexeu.lottery import Lottery, _lottery_eu
 from lexeu.model import GsleuModel, class_of, conditional_measure, sign
 from lexeu.preference import _check_act
@@ -113,6 +121,164 @@ def fourier_motzkin_feasible(sys: ConstraintSystem) -> bool:
         if not strict and not ZERO >= rhs:
             return False
     return True
+
+
+# -- the dense two-phase simplex over Fractions -----------------------------
+#
+# The library's solver before it moved to integer rows over one common
+# denominator, kept as the reference for it: the same Bland pivots, so the
+# same point, margin, value and errors.
+#
+# maximize c.x subject to A.x = b, x >= 0.  Bland's rule for both the
+# entering and the leaving choice, so cycling is impossible and the output
+# is a deterministic function of the input.
+
+
+def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
+    piv = rows[r][c]
+    rows[r] = [x / piv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            factor = row[c]
+            rows[i] = [x - factor * y for x, y in zip(row, rows[r])]
+    basis[r] = c
+
+
+def _simplex_max(
+    rows: list[list[Fraction]], basis: list[int], objective: list[Fraction]
+) -> Fraction:
+    """Maximize over an already-feasible tableau, in place.
+
+    rows[i] = coefficients + [rhs]; basis[i] = basic column of row i.
+    Raises on unboundedness (callers bound every direction they optimize).
+    """
+    ncols = len(rows[0]) - 1
+    reduced = list(objective)
+    value = ZERO
+    for i, b in enumerate(basis):
+        if reduced[b]:
+            coef = reduced[b]
+            row = rows[i]
+            reduced = [x - coef * row[j] for j, x in enumerate(reduced)]
+            value += coef * row[-1]
+    while True:
+        enter = next((j for j in range(ncols) if reduced[j] > 0), None)
+        if enter is None:
+            return value
+        leave = None
+        best = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise MalformedSystem("objective unbounded above")
+        _pivot(rows, basis, leave, enter)
+        coef = reduced[enter]
+        row = rows[leave]
+        reduced = [x - coef * row[j] for j, x in enumerate(reduced)]
+        value += coef * row[-1]
+
+
+def _phase_one(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]] | None:
+    """Find a basic feasible solution; None when the system is empty."""
+    ncols = len(rows[0]) - 1
+    work = []
+    for row in rows:
+        work.append([-x for x in row] if row[-1] < 0 else list(row))
+    m = len(work)
+    basis = []
+    for i, row in enumerate(work):
+        art = [ZERO] * m
+        art[i] = ONE
+        work[i] = row[:-1] + art + [row[-1]]
+        basis.append(ncols + i)
+    objective = [ZERO] * ncols + [Fraction(-1)] * m
+    if _simplex_max(work, basis, objective) != 0:
+        return None
+    # drive lingering artificials out; a row that is zero over the
+    # structural columns is redundant and gets dropped
+    keep = []
+    for i in range(len(work)):
+        if basis[i] < ncols:
+            keep.append(i)
+            continue
+        enter = next((j for j in range(ncols) if work[i][j] != 0), None)
+        if enter is None:
+            continue
+        _pivot(work, basis, i, enter)
+        keep.append(i)
+    rows2 = [work[i][:ncols] + [work[i][-1]] for i in keep]
+    basis2 = [basis[i] for i in keep]
+    return rows2, basis2
+
+
+def _extract(
+    columns: list[str],
+    rows: list[list[Fraction]],
+    basis: list[int],
+    variables: Iterable[str],
+) -> dict[str, Fraction]:
+    values = [ZERO] * len(columns)
+    for i, b in enumerate(basis):
+        values[b] = rows[i][-1]
+    return {v: values[2 * i] - values[2 * i + 1] for i, v in enumerate(variables)}
+
+
+def fraction_solve(sys: ConstraintSystem) -> FeasibilityResult:
+    """The library's solve() as it was on Fractions: feasibility with
+    strict inequalities via margin maximization."""
+    sys.check_caps()
+    if not sys.constraints:
+        return FeasibilityResult(True, {v: ZERO for v in sys.variables}, None)
+    strict = [c for c in sys.constraints if c.rel is Rel.GT]
+    rows, columns, eps_col = _standard_form(sys)
+    started = _phase_one(rows)
+    if started is None:
+        return FeasibilityResult(False, None, None)
+    rows, basis = started
+    if not strict:
+        assignment = _extract(columns, rows, basis, sys.variables)
+        _assert_satisfies(sys, assignment)
+        return FeasibilityResult(True, assignment, None)
+    objective = [ZERO] * len(columns)
+    objective[eps_col] = ONE
+    if _simplex_max(rows, basis, objective) <= 0:
+        return FeasibilityResult(False, None, None)
+    assignment = _extract(columns, rows, basis, sys.variables)
+    _assert_satisfies(sys, assignment)
+    margin = min(c.evaluate(assignment) - c.rhs for c in strict)
+    return FeasibilityResult(True, assignment, margin)
+
+
+def fraction_optimize_closure(
+    sys: ConstraintSystem, objective: Mapping[str, Fraction], maximize: bool = True
+) -> tuple[Fraction, dict[str, Fraction]] | None:
+    """The library's optimize_closure() as it was on Fractions."""
+    sys.check_caps()
+    closed = ConstraintSystem(sys.variables)
+    for c in sys.constraints:
+        closed.add(c.coeffs, Rel.GE if c.rel is Rel.GT else c.rel, c.rhs)
+    if not closed.constraints:
+        raise MalformedSystem("nothing bounds the objective")
+    rows, columns, _ = _standard_form(closed)
+    started = _phase_one(rows)
+    if started is None:
+        return None
+    rows, basis = started
+    sign = ONE if maximize else Fraction(-1)
+    obj = [ZERO] * len(columns)
+    for i, v in enumerate(closed.variables):
+        coef = Fraction(objective.get(v, 0))
+        obj[2 * i] = sign * coef
+        obj[2 * i + 1] = -sign * coef
+    value = _simplex_max(rows, basis, obj)
+    assignment = _extract(columns, rows, basis, closed.variables)
+    for c in closed.constraints:
+        if not c.satisfied_by(assignment):
+            raise AssertionError("optimizer left the feasible region")
+    return sign * value, assignment
 
 
 # -- partitions as events --------------------------------------------------

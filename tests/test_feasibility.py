@@ -6,10 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import lexeu.feasibility as feasibility
+from lexeu.caps import LP_BIT_CAP
 from lexeu.errors import CapExceeded, MalformedSystem
 from lexeu.feasibility import ConstraintSystem, Rel, optimize_closure, solve
 
 from conftest import vertex_oracle_2d
+import oracles
 from oracles import fourier_motzkin_feasible
 
 
@@ -178,3 +181,119 @@ def test_solver_agrees_with_oracles():
         outcomes[got] += 1
     # the generator must actually exercise both verdicts
     assert outcomes[True] > 10 and outcomes[False] > 10
+
+
+def _lp_system(rng: random.Random) -> ConstraintSystem:
+    """Strict, weak and equality rows over 1-4 variables with mixed
+    denominators, half of them homogeneous; some equalities repeated at a
+    scale (redundant rows), and most systems boxed so that objectives have
+    an optimum."""
+
+    def coeff() -> F:
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+
+    names = [f"x{i}" for i in range(rng.randint(1, 4))]
+    sys = ConstraintSystem(names)
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {}
+        while not coeffs:
+            coeffs = {v: c for v in names if rng.random() < 0.7 and (c := coeff())}
+        rel = rng.choice((Rel.GE, Rel.GT, Rel.EQ))
+        # homogeneous rows leave artificials basic at zero after phase
+        # one, and driving them out can pivot on a negative entry
+        rhs = coeff() if rng.random() < 0.5 else F(0)
+        sys.add(coeffs, rel, rhs)
+        if rel is Rel.EQ and rng.random() < 0.5:
+            k = coeff() or F(1)
+            sys.add({v: k * c for v, c in coeffs.items()}, Rel.EQ, k * rhs)
+    if rng.random() < 0.7:
+        box = rng.randint(1, 9)
+        for v in names:
+            sys.add({v: 1}, Rel.GE, -box)
+            sys.add({v: -1}, Rel.GE, -box)
+    return sys
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MalformedSystem as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_integer_simplex_matches_fraction_reference(monkeypatch):
+    """The integer tableau takes the Fraction simplex's pivots, in order:
+    the same verdict, point and slack from solve, and the same value,
+    point, None or unboundedness error from optimize_closure."""
+    pivots = {"integer": [], "fraction": []}
+    seen = {"negative pivot": 0, "dropped row": 0}
+    pivot, two_phase, fraction_pivot = feasibility._pivot, feasibility._two_phase, oracles._pivot
+
+    def spy_pivot(rows, basis, d, r, c):
+        pivots["integer"].append((r, c))
+        seen["negative pivot"] += rows[r][c] < 0
+        return pivot(rows, basis, d, r, c)
+
+    def spy_fraction_pivot(rows, basis, r, c):
+        pivots["fraction"].append((r, c))
+        return fraction_pivot(rows, basis, r, c)
+
+    def spy_two_phase(rows, objective):
+        found = two_phase(rows, objective)
+        seen["dropped row"] += found is not None and len(found[2]) < len(rows)
+        return found
+
+    monkeypatch.setattr(feasibility, "_pivot", spy_pivot)
+    monkeypatch.setattr(feasibility, "_two_phase", spy_two_phase)
+    monkeypatch.setattr(oracles, "_pivot", spy_fraction_pivot)
+    rng = random.Random(2026)
+    verdicts = {True: 0, False: 0}
+    closures = {"empty": 0, "unbounded": 0, "optimum": 0}
+    for _ in range(120):
+        sys = _lp_system(rng)
+        got = solve(sys)
+        assert got == oracles.fraction_solve(sys)
+        verdicts[got.feasible] += 1
+        objective = {v: F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for v in sys.variables}
+        maximize = rng.random() < 0.5
+        got = _outcome(optimize_closure, sys, objective, maximize)
+        assert got == _outcome(oracles.fraction_optimize_closure, sys, objective, maximize)
+        assert pivots["integer"] == pivots["fraction"]
+        pivots["integer"].clear()
+        pivots["fraction"].clear()
+        if got is None:
+            closures["empty"] += 1
+        else:
+            closures["unbounded" if isinstance(got[0], str) else "optimum"] += 1
+    assert min(verdicts.values()) > 10 and min(closures.values()) > 5
+    assert min(seen.values()) > 0, seen
+
+
+def test_all_rows_redundant():
+    # phase one drops every row, so phase two starts on an empty tableau
+    sys = system(["x"], ({}, Rel.EQ, 0))
+    assert solve(sys).assignment == {"x": F(0)}
+    assert optimize_closure(sys, {}) == (F(0), {"x": F(0)})
+    with pytest.raises(MalformedSystem, match="objective unbounded above"):
+        optimize_closure(sys, {"x": F(1)})
+
+
+def test_bit_cap_refuses_before_any_pivot(monkeypatch):
+    def no_pivot(*args):
+        raise AssertionError("pivoted before the bit cap was checked")
+
+    monkeypatch.setattr(feasibility, "_pivot", no_pivot)
+    huge = 2 ** 1500
+    sys = system(
+        ["x", "y"],
+        ({"x": huge, "y": 1}, Rel.GT, 1),
+        ({"x": 1, "y": -huge}, Rel.GE, F(1, huge)),
+        ({"x": -1, "y": 1}, Rel.EQ, huge),
+    )
+    for call in (lambda: solve(sys), lambda: optimize_closure(sys, {"x": F(1)})):
+        with pytest.raises(CapExceeded) as info:
+            call()
+        assert info.value.needed > info.value.cap == LP_BIT_CAP
+        assert str(info.value) == (
+            f"exact simplex may need {info.value.needed}-bit numbers, cap is {LP_BIT_CAP}"
+        )
