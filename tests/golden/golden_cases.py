@@ -218,7 +218,8 @@ def _synthesis_cases() -> dict:
     """synthesize on M0's table and on seeded full, swapped and partial
     tables of 2-4 states and 2-4 outcomes, on two partial tables without a
     constant act, on a 4-outcome table past the joint search's limit and
-    on four seeded full 3x3 and 4x3 tables; infer_hierarchy on the full
+    on seeded full 3x3, 4x3, 3x4 and 4x4 tables and on three 3-state
+    tables that reach the parametric scan; infer_hierarchy on the full
     tables of 2-4 states; and the whole suite on each planted-defect
     table."""
     m0 = build_m0()
@@ -247,6 +248,17 @@ def _synthesis_cases() -> dict:
     for n, k in ((3, 0), (3, 5), (4, 3), (4, 9)):
         model = random_model(random.Random(f"golden-synth-{n}-3-{k}"), n, n, n_outcomes=3)
         raw[f"synthesis/{n}x3/full-{k}"] = _synthesized(derive_table(model))
+    # four-outcome full tables: the joint search's limit at 3x4/0 and
+    # 4x4/2, vertex retries at 3x4/2 and 4x4/0
+    for n, k in ((3, 0), (3, 2), (4, 0), (4, 2)):
+        model = random_model(random.Random(f"golden-synth-{n}-4-{k}"), n, n, n_outcomes=4)
+        raw[f"synthesis/{n}x4/full-{k}"] = _synthesized(derive_table(model))
+    # 3-state tables whose one class reaches the parametric scan
+    for k in (1, 39):
+        model = random_model(random.Random(f"golden-synth-scan-{k}"), 3, 3, n_outcomes=3)
+        raw[f"synthesis/3x3/scan-{k}"] = _synthesized(derive_table(model))
+    model = random_model(random.Random(142), 2, 3, n_outcomes=3)
+    raw["synthesis/3x3/scan-142"] = _synthesized(derive_table(model))
     for name, table in full.items():
         raw[f"hierarchy/{name}"] = repr(infer_hierarchy(table)).encode()
     for axiom_id, build in DEFECTS.items():
