@@ -5,8 +5,10 @@ event's partitions (Bell(|A|)) is central to the exhaustive checks, so all
 three are guarded, each by one check here.  The partition check guards the
 one partition search (events.first_partition) shared by strong
 conditioning and P6.5.  The act cap can be overridden with the LEXEU_CAP
-environment variable.  The axiom checkers' default instance budget lives
-here too, so the CLI's --budget default does not import the checkers.
+environment variable; a value that is not a positive integer is an input
+error (ParseError), since no cap was exceeded.  The axiom checkers'
+default instance budget lives here too, so the CLI's --budget default
+does not import the checkers.
 
 The exact simplex (feasibility) refuses a system with more than
 MAX_VARIABLES variables or MAX_CONSTRAINTS constraints, and one whose
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ParseError
 
 DEFAULT_ACT_CAP = 100_000
 DEFAULT_STATE_CAP = 16  # max |S| for powerset enumeration (2^16 events)
@@ -35,9 +37,9 @@ def act_cap() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise CapExceeded(f"LEXEU_CAP is not an integer: {raw!r}") from exc
+        raise ParseError(f"LEXEU_CAP is not an integer: {raw!r}") from exc
     if value <= 0:
-        raise CapExceeded(f"LEXEU_CAP must be positive, got {value}")
+        raise ParseError(f"LEXEU_CAP must be positive, got {value}")
     return value
 
 

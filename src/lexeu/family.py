@@ -60,7 +60,7 @@ class TableBackedFamily:
         missing = full - len(self.tiers)
         if missing:
             first = next(m for m in range(1, full + 1) if m not in self.tiers)
-            label = ",".join(self.space.states[i] for i in Event(self.space, first).members)
+            label = ", ".join(Event(self.space, first).labels)
             raise IncompleteTable(f"{missing} events have no ranking (first: {{{label}}})")
         # the oracle is keyed by assignment, so two names for one act would
         # leave one name's rankings unread

@@ -477,18 +477,13 @@ class _ClassRows:
         mids = tiers[1] if len(tiers) == 3 else []
         return {**fixed, **{o: t for o in mids}}
 
-    def _instantiate(
-        self, system: ConstraintSystem, term, small_only: bool = False
-    ) -> ConstraintSystem:
+    def _instantiate(self, system: ConstraintSystem, term) -> ConstraintSystem:
         """Add every ranking row to system as a linear row, each entry
         contributing the (variable, coefficient) pair term(state, outcome,
         count) gives; rows equal up to scale go in once, rows reading
-        0 = 0 not at all.  With small_only, rows touching more than two
-        states are left out."""
+        0 = 0 not at all."""
         seen: set = set()
         for items, rel in self.rows:
-            if small_only and len({s for (s, _), _ in items}) > 2:
-                continue
             coeffs: dict[str, Fraction] = {}
             for (s, o), cnt in items:
                 v, c = term(s, o, cnt)
@@ -516,36 +511,12 @@ class _ClassRows:
         return self._instantiate(system, lambda s, o, cnt: (o, cnt * p[s]))
 
     def measure_system(
-        self,
-        msys: ConstraintSystem,
-        utility: dict[str, Fraction],
-        *,
-        small_only: bool = False,
+        self, msys: ConstraintSystem, utility: dict[str, Fraction]
     ) -> ConstraintSystem:
         """Linear system for p at a fixed utility, on top of the bet rows
-        (which measure_from_order starts with the simplex rows).
-
-        With small_only, only rows touching at most two states go in — a
-        relaxation that solves much faster; check the result against all
-        rows with satisfied() and fall back to the full system if needed.
-        """
+        (which measure_from_order starts with the simplex rows)."""
         system = ConstraintSystem(msys.variables, list(msys.constraints))
-        return self._instantiate(
-            system, lambda s, o, cnt: (s, cnt * utility[o]), small_only
-        )
-
-    def satisfied(self, p: dict[str, Fraction], utility: dict[str, Fraction]) -> bool:
-        """Whether (p, utility) reproduces every stored ranking row."""
-        for items, rel in self.rows:
-            val = ZERO
-            for (s, o), cnt in items:
-                val += cnt * p[s] * utility[o]
-            if rel is Rel.GT:
-                if val <= 0:
-                    return False
-            elif val != 0:
-                return False
-        return True
+        return self._instantiate(system, lambda s, o, cnt: (s, cnt * utility[o]))
 
     def relaxation(
         self, msys: ConstraintSystem, fixed: dict[str, Fraction], mid: str
@@ -706,17 +677,10 @@ def _fit_class_jointly(rows: _ClassRows, msys, p0, diag):
             continue
         tried.add(t)
         u_t = {**fixed, mid: t}
-        result = _reduced_solve(rows.measure_system(msys, u_t, small_only=True))
-        if not result.feasible:
-            continue
-        measure = {a: result.assignment[a] for a in labels}
-        if not rows.satisfied(measure, u_t):
-            result = _reduced_solve(rows.measure_system(msys, u_t))
-            if not result.feasible:
-                continue
-            measure = {a: result.assignment[a] for a in labels}
-        diag["strategy"] = f"parametric(t={t})"
-        return measure, u_t, diag
+        result = _reduced_solve(rows.measure_system(msys, u_t))
+        if result.feasible:
+            diag["strategy"] = f"parametric(t={t})"
+            return {a: result.assignment[a] for a in labels}, u_t, diag
     raise CapExceeded(
         "utility parameter scan exhausted without a fit",
         needed=len(tried) + 1,

@@ -1,5 +1,6 @@
 """Exit codes and output formats of every subcommand."""
 import json
+import os
 import random
 import resource
 import shutil
@@ -192,9 +193,10 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_wide_table_with_missing_rankings_exit_2_without_hanging(tmp_path):
-    # 40 states and one listed event: listing the 2^40 - 2 missing ones
-    # would not finish, so run it in a child with a timeout and a memory cap
+def _synthesize_wide_table(tmp_path, listed):
+    """lexeu synthesize, in a child with a timeout and a memory cap, on a
+    40-state table that ranks only the listed events: listing the 2^40 - 1
+    minus those missing ones would not finish."""
     states = [f"s{i}" for i in range(1, 41)]
     table = {
         "states": states,
@@ -203,20 +205,30 @@ def test_wide_table_with_missing_rankings_exit_2_without_hanging(tmp_path):
             {"name": "lo", "map": dict.fromkeys(states, "a")},
             {"name": "hi", "map": dict.fromkeys(states, "b")},
         ],
-        "prefs": {"s1": [["hi"], ["lo"]]},
+        "prefs": dict.fromkeys(listed, [["hi"], ["lo"]]),
         "unconditional": [["hi"], ["lo"]],
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(table))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "lexeu.cli", "synthesize", str(path)],
         capture_output=True,
         text=True,
         timeout=20,
         preexec_fn=_limit_memory,
     )
+
+
+def test_wide_table_with_missing_rankings_exit_2_without_hanging(tmp_path):
+    result = _synthesize_wide_table(tmp_path, ["s1"])
     assert result.returncode == 2
     assert f"{2**40 - 2} events have no ranking (first: {{s2}})" in result.stderr
+
+
+def test_first_missing_event_written_as_the_cli_writes_events(tmp_path):
+    result = _synthesize_wide_table(tmp_path, ["s1", "s2"])
+    assert result.returncode == 2
+    assert f"{2**40 - 3} events have no ranking (first: {{s1, s2}})" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -409,6 +421,24 @@ def test_derive_table_cap_exit_3(files, capsys, monkeypatch):
     code, _, err = run(capsys, "derive-table", files["model"])
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "LEXEU_CAP is not an integer: 'abc'"), ("0", "LEXEU_CAP must be positive, got 0")],
+    ids=["abc", "0"],
+)
+def test_malformed_cap_exit_2(files, value, message):
+    # a cap that cannot be read is an input error: no cap was exceeded
+    result = subprocess.run(
+        [sys.executable, "-m", "lexeu.cli", "observability", files["model"]],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "LEXEU_CAP": value},
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: {message}"]
 
 
 def test_synthesize_round_trips_verdicts(files, capsys, tmp_path):

@@ -409,9 +409,8 @@ FIT_PATHS = [
         ("CapExceeded", "utility parameter scan exhausted without a fit", None),
         NO_ADDITIVE_MEASURE,
     ]),
-    # the scan's first candidate fits on the rows of at most two states alone
     (142, 3, None, [
-        ({"s1": "4338791/7171374", "s2": "1819493/7171374", "s3": "506545/3585687"},
+        ({"s1": "3008891/4899468", "s2": "1261793/4899468", "s3": "157196/1224867"},
          {"b": "1", "a": "0", "c": "13/44"}, "parametric(t=13/44)"),
     ]),
 ]
@@ -424,6 +423,15 @@ def test_fit_paths(seed, n_outcomes, swap, expected):
     if swap is not None:
         table = _swapped(table, *swap)
     assert _class_fits(table) == expected
+
+
+def test_parametric_fit_synthesizes():
+    # FIT_PATHS' seed-142 table: its one class is fitted by the scan
+    table = derive_table(random_model(random.Random(142), n_min=2, n_max=3, n_outcomes=3))
+    result = synthesize(table)
+    assert result.verified
+    assert result.diagnostics["stages"][1]["strategy"] == "parametric(t=13/44)"
+    assert derive_table(result.model) == table
 
 
 def test_fixed_utility_exit():
